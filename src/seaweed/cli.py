@@ -13,6 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/check failure, 2 bad input, 3 method
 not applicable to the spec, 4 spec is not index one, 5 synthesis failure.
+``oracle --lemma1`` prints the raw max |det - wedge|, but its exit code follows
+(k!)^2 det = wedge^2, since det has degree 2k+2 in phi and wedge degree k+1.
 The SEAWEED_SEED environment variable overrides the default oracle seed;
 an explicit --seed flag overrides both.
 """
@@ -27,9 +29,10 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .contact import (
+    DEFAULT_K_MAX,
     ContactCertificate,
     NotIndexOneError,
     SynthesisError,
@@ -38,16 +41,16 @@ from .contact import (
 )
 from .liealg import (
     DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    WEDGE_DIM_CAP,
     CoeffForm,
     bhat_det,
     index_randomized,
     wedge_volume_coefficient,
 )
 from .meander import build_meander, components, orient, render
-from .meander import index as meander_index
+from .meander import index_gcd_2part, index_gcd_3part
 from .standard_form import SeaweedSpec, compositions, materialize, seaweed_dim
-
-WEDGE_CLI_CAP = 15
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -87,23 +90,23 @@ def cmd_index(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
     rep = components(build_meander(spec))
     if args.method == "meander":
-        idx = 2 * rep.C + rep.P - 1
+        idx = rep.index
     elif args.method == "gcd":
-        if len(spec.bottom.parts) != 1 or len(spec.top.parts) > 3:
+        parts = spec.top.parts
+        if len(spec.bottom.parts) != 1 or len(parts) > 3:
             print(
                 "seaweed: gcd method needs at most 3 top parts over a one-part bottom",
                 file=sys.stderr,
             )
             return 3
-        parts = spec.top.parts
-        if len(parts) == 3:
-            idx = gcd(parts[0] + parts[1], parts[1] + parts[2]) - 1
-        elif len(parts) == 2:
-            idx = gcd(parts[0], parts[1]) - 1
+        if len(parts) == 1:
+            idx = parts[0] - 1  # sl(n) has rank n - 1
         else:
-            idx = parts[0] - 1
+            idx = (index_gcd_2part if len(parts) == 2 else index_gcd_3part)(*parts)
     else:
-        idx = index_randomized(materialize(spec), trials=25, seed=_resolve_seed(args))
+        idx = index_randomized(
+            materialize(spec), trials=DEFAULT_TRIALS, seed=_resolve_seed(args)
+        )
     if args.json:
         data = {
             "spec": spec.text(),
@@ -170,7 +173,7 @@ def _census_row(task: tuple[str, bool, int | None]) -> tuple[str, ...]:
     text, classify, index_filter = task
     spec = SeaweedSpec.parse(text)
     rep = components(build_meander(spec))
-    idx = 2 * rep.C + rep.P - 1
+    idx = rep.index
     row = [
         spec.top.text(),
         spec.bottom.text(),
@@ -247,9 +250,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"index {idx}")
     if not args.lemma1:
         return 0
-    if L.dim % 2 == 0 or L.dim > WEDGE_CLI_CAP:
+    if L.dim % 2 == 0 or L.dim > WEDGE_DIM_CAP:
         print(
-            f"seaweed: volume-form check needs odd dimension <= {WEDGE_CLI_CAP}, "
+            f"seaweed: volume-form check needs odd dimension <= {WEDGE_DIM_CAP}, "
             f"got {L.dim}",
             file=sys.stderr,
         )
@@ -270,7 +273,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "squared identity (k!)^2 det = wedge^2: "
         + ("held for all samples" if squared_ok else "VIOLATED")
     )
-    return 0 if worst == 0 else 1
+    return 0 if squared_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k-max",
         type=int,
-        default=64,
+        default=DEFAULT_K_MAX,
         dest="k_max",
         help="bound for the center-weight search in the one-cycle case",
     )
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="randomized-rank index oracle")
     p.add_argument("spec")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--lemma1",

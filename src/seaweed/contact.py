@@ -396,9 +396,8 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
 def synthesize_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCertificate:
     """Dispatch on the meander shape; only index-one seaweeds are accepted."""
     rep = components(build_meander(spec))
-    idx = 2 * rep.C + rep.P - 1
-    if idx != 1:
-        raise NotIndexOneError(f"{spec.text()} has index {idx}, not 1", idx)
+    if rep.index != 1:
+        raise NotIndexOneError(f"{spec.text()} has index {rep.index}, not 1", rep.index)
     if rep.P == 2:
         return case1_contact(spec)
     return case2_contact(spec, k_max)

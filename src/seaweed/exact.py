@@ -72,7 +72,7 @@ def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], Fraction]:
         den = 1
         for x in row:
             den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
         scale *= den
     return out, scale
 
@@ -91,6 +91,35 @@ def rank(m: RatMatrix) -> int:
         return 0
     rows, _ = _integer_rows(m)
     return _kernels.rank_int(rows)
+
+
+def inverse(m: RatMatrix) -> RatMatrix | None:
+    """Exact inverse of a square matrix; None when it is singular.
+
+    The integer echelon form of [m | I] has its pivots in the first n columns
+    exactly when m is invertible. Back substitution skips zero entries, so a
+    sparse m such as the identity costs little.
+    """
+    if not m.is_square():
+        raise ValueError(f"inverse of non-square matrix {m.rows} x {m.cols}")
+    n = m.rows
+    zero, one = Fraction(0), Fraction(1)
+    aug = RatMatrix(n, 2 * n, tuple(
+        x for i in range(n) for x in (*m.row(i), *(one if j == i else zero for j in range(n)))
+    ))
+    ech, pivots = _kernels.echelon_int(_integer_rows(aug)[0])
+    if pivots != list(range(n)):
+        return None
+    inv = [[zero] * n for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        row = ech[r]
+        for k in range(n):
+            s = row[n + k] - sum(
+                row[j] * inv[j][k] for j in range(r + 1, n) if row[j] and inv[j][k]
+            )
+            if s:
+                inv[r][k] = Fraction(s, row[r])
+    return RatMatrix(n, n, tuple(x for row in inv for x in row))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:

@@ -97,6 +97,11 @@ class ComponentReport:
     def P(self) -> int:
         return len(self.paths)
 
+    @property
+    def index(self) -> int:
+        """2C + P - 1 (Dergachev-Kirillov)."""
+        return 2 * self.C + self.P - 1
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -210,8 +215,7 @@ def _closes(
 
 def index(spec: SeaweedSpec) -> int:
     """2C + P - 1 over the meander components."""
-    rep = components(build_meander(spec))
-    return 2 * rep.C + rep.P - 1
+    return components(build_meander(spec)).index
 
 
 def index_gcd_3part(a: int, b: int, c: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
-from .exact import RatMatrix, rank as _rank
+from .exact import RatMatrix, inverse
 from .liealg import CoeffForm, LieAlgebra
 
 __all__ = [
@@ -297,35 +297,14 @@ def _commutator(
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def _solve_in_columns(
-    cols: list[list[Fraction]], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Exact solve of cols * x = target (tall thin system); None if unsolvable."""
-    n = len(target)
-    m = len(cols)
-    aug = [[cols[c][r] for c in range(m)] + [target[r]] for r in range(n)]
-    piv_of_col: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_of_col.append((r, c))
-        r += 1
-    for i in range(n):
-        if all(aug[i][c] == 0 for c in range(m)) and aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for (row, col) in piv_of_col:
-        x[col] = aug[row][m]
-    return x
+def _h_coords(diag: Mapping[int, Fraction], n: int) -> list[Fraction]:
+    """Coordinates of a traceless diagonal in h(1)..h(n-1): its partial sums."""
+    out = []
+    s = Fraction(0)
+    for k in range(1, n):
+        s += diag.get(k, 0)
+        out.append(s)
+    return out
 
 
 def materialize(
@@ -333,15 +312,22 @@ def materialize(
 ) -> LieAlgebra:
     """Structure constants of the seaweed in the given (or standard) basis.
 
-    Off-diagonal bracket components must land exactly on unit labels present
-    in the basis; diagonal components are re-expressed in the diagonal
-    sub-basis by exact linear solve. Either failing raises SpanError, which
-    for a valid spec with the standard basis (or a diagonal-preserving
-    replacement such as the two-paths H) never happens.
+    A given basis must be a full basis of the seaweed: seaweed_dim(spec)
+    labels, every unit admissible and listed once, and diagonal labels that
+    form a basis of the traceless diagonals. Anything else raises SpanError.
+    Off-diagonal bracket components then land on unit labels, and diagonal
+    components go through their h(1)..h(n-1) coordinates and the inverse of
+    the diagonal labels' own h-coordinate matrix (the identity for the
+    standard basis).
     """
     n = spec.n
     labels = list(standard_basis(spec) if basis is None else basis)
     mats = [_label_matrix(lab, n) for lab in labels]
+    dim = len(labels)
+    if dim != seaweed_dim(spec):
+        raise SpanError(
+            f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
+        )
 
     unit_pos: dict[tuple[int, int], int] = {}
     diag_pos: list[int] = []
@@ -355,47 +341,22 @@ def materialize(
         else:
             diag_pos.append(pos)
 
-    diag_cols = []
-    for pos in diag_pos:
-        col = [Fraction(0)] * n
-        for (a, _), v in mats[pos].items():
-            col[a - 1] = v
-        diag_cols.append(col)
+    # column c holds the h-coordinates of the c-th diagonal label; its inverse
+    # exists exactly when the diagonal labels form a basis
+    cols = [_h_coords({a: v for (a, _), v in mats[pos].items()}, n) for pos in diag_pos]
+    inv = None if len(diag_pos) != n - 1 else inverse(
+        RatMatrix(n - 1, n - 1, tuple(x for row in zip(*cols) for x in row))
+    )
+    if inv is None:
+        raise SpanError(
+            f"the {len(diag_pos)} diagonal labels are not a basis of the traceless diagonals"
+        )
+    # h(k) in the diagonal labels: column k of the inverse, without its zeros
+    h_in_labels = [
+        [(pos, inv.at(r, k)) for r, pos in enumerate(diag_pos) if inv.at(r, k)]
+        for k in range(n - 1)
+    ]
 
-    # the diagonal sub-basis must span the traceless diagonals
-    if n > 1:
-        as_rows = [[col[r] for col in diag_cols] for r in range(n)]
-        if _rank(RatMatrix.from_rows(as_rows)) != n - 1:
-            raise SpanError(
-                f"diagonal sub-basis of size {len(diag_pos)} does not span "
-                f"the traceless diagonals"
-            )
-
-    # closed form for the standard arrangement: h(1)..h(n-1) in basis order.
-    standard_diag = all(
-        isinstance(labels[pos], DiagDiff) and labels[pos].i == k + 1
-        for k, pos in enumerate(diag_pos)
-    ) and len(diag_pos) == n - 1
-
-    solve_memo: dict[tuple[Fraction, ...], list[Fraction] | None] = {}
-
-    def diag_coeffs(dvec: list[Fraction]) -> list[Fraction]:
-        if standard_diag:
-            out = []
-            s = Fraction(0)
-            for k in range(n - 1):
-                s += dvec[k]
-                out.append(s)
-            return out
-        key = tuple(dvec)
-        if key not in solve_memo:
-            solve_memo[key] = _solve_in_columns(diag_cols, dvec)
-        sol = solve_memo[key]
-        if sol is None:
-            raise SpanError("diagonal bracket component escapes the diagonal sub-basis")
-        return sol
-
-    dim = len(labels)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for x in range(dim):
         for y in range(x + 1, dim):
@@ -403,22 +364,17 @@ def materialize(
             if not com:
                 continue
             vec: dict[int, Fraction] = {}
-            dvec = [Fraction(0)] * n
+            diag: dict[int, Fraction] = {}
             for (a, b), v in com.items():
                 if a == b:
-                    dvec[a - 1] = v
+                    diag[a] = v
                 else:
-                    pos = unit_pos.get((a, b))
-                    if pos is None:
-                        raise SpanError(
-                            f"[{label_str(labels[x])}, {label_str(labels[y])}] "
-                            f"has component at ({a},{b}) outside the basis"
-                        )
-                    vec[pos] = v
-            if any(v != 0 for v in dvec):
-                for pos, c in zip(diag_pos, diag_coeffs(dvec)):
-                    if c != 0:
-                        vec[pos] = c
+                    vec[unit_pos[(a, b)]] = v
+            if diag:
+                for k, s in enumerate(_h_coords(diag, n)):
+                    if s:
+                        for pos, c in h_in_labels[k]:
+                            vec[pos] = vec.get(pos, 0) + s * c
             if vec:
                 brackets[(x, y)] = vec
 

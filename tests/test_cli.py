@@ -5,8 +5,10 @@ import subprocess
 
 import pytest
 
+import seaweed.cli
 from seaweed.cli import main
 from seaweed.contact import ContactCertificate, verify_certificate
+from seaweed.standard_form import compositions
 
 
 def run(capsys, *argv):
@@ -37,6 +39,17 @@ def test_index_gcd_two_parts(capsys):
 def test_index_gcd_one_part(capsys):
     rc, out, _ = run(capsys, "index", "8 / 8", "--method", "gcd")
     assert rc == 0 and out == "index 7\n"
+
+
+def test_index_gcd_matches_meander_over_one_part_bottom(capsys):
+    for n in range(1, 9):
+        for top in compositions(n):
+            if len(top) > 3:
+                continue
+            text = f"{'|'.join(map(str, top))} / {n}"
+            rc_g, out_g, _ = run(capsys, "index", text, "--method", "gcd")
+            rc_m, out_m, _ = run(capsys, "index", text, "--method", "meander")
+            assert rc_g == rc_m == 0 and out_g == out_m, text
 
 
 def test_index_gcd_not_applicable(capsys):
@@ -297,10 +310,19 @@ def test_oracle_seed_flag_beats_env(capsys, monkeypatch):
 
 def test_oracle_lemma1_reports_discrepancy(capsys):
     rc, out, _ = run(capsys, "oracle", "2 / 2", "--trials", "10", "--lemma1")
-    # the raw det/wedge comparison fails; the squared identity is what holds
-    assert rc == 1
+    # the raw det/wedge comparison fails; the squared identity is what holds,
+    # and it alone sets the exit code
+    assert rc == 0
     assert "max |det - wedge|" in out
     assert "squared identity (k!)^2 det = wedge^2: held for all samples" in out
+
+
+def test_oracle_lemma1_fails_when_identity_is_violated(capsys, monkeypatch):
+    real = seaweed.cli.bhat_det
+    monkeypatch.setattr(seaweed.cli, "bhat_det", lambda L, phi: 2 * real(L, phi))
+    rc, out, _ = run(capsys, "oracle", "2 / 2", "--trials", "10", "--lemma1")
+    assert rc == 1
+    assert "squared identity (k!)^2 det = wedge^2: VIOLATED" in out
 
 
 def test_oracle_lemma1_needs_odd_small_dimension(capsys):

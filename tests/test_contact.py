@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from seaweed.cli import main
 from seaweed.contact import (
     ContactCertificate,
     NotIndexOneError,
@@ -369,6 +370,25 @@ def test_verify_rejects_wrong_spec():
     cert = synthesize_contact(spec("2 / 2"))
     other = synthesize_contact(spec("1|1 / 1|1"))
     assert not verify_certificate(dataclasses.replace(cert, spec=other.spec))
+
+
+def forged_sl3_certificate():
+    # the Borel subalgebra 1|1|1 / 3 is contact, but relabelled as sl(3)
+    # (3 / 3: dim 8, index 2) its basis spans only a subalgebra
+    cert = synthesize_contact(spec("1|1|1 / 3"))
+    return dataclasses.replace(cert, spec=spec("3 / 3"))
+
+
+def test_verify_rejects_basis_of_a_subalgebra():
+    assert not verify_certificate(forged_sl3_certificate())
+
+
+def test_cli_verify_rejects_basis_of_a_subalgebra(tmp_path, capsys):
+    path = tmp_path / "forged.json"
+    path.write_text(forged_sl3_certificate().to_json(), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "verification FAILED" in captured.err
 
 
 def test_certificate_json_round_trip():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seaweed._kernels import pure
-from seaweed.exact import RatMatrix, det, kernel_basis, rank
+from seaweed.exact import RatMatrix, det, inverse, kernel_basis, rank
 
 try:
     from seaweed._kernels import _fast
@@ -159,6 +159,36 @@ def test_rank_plus_nullity_and_kernel_membership(rows):
 def test_kernel_vectors_are_primitive():
     kb = kernel_basis(RatMatrix.from_rows([[Fraction(1, 3), Fraction(2, 3)]]))
     assert kb == [(2, -1)]
+
+
+# ---------------------------------------------------------------------------
+# inverse
+# ---------------------------------------------------------------------------
+
+def test_inverse_examples():
+    assert inverse(RatMatrix.from_rows([[1, 0], [0, 1]])) == RatMatrix.from_rows(
+        [[1, 0], [0, 1]]
+    )
+    assert inverse(RatMatrix.from_rows([[0, 2], [4, 0]])) == RatMatrix.from_rows(
+        [[0, Fraction(1, 4)], [Fraction(1, 2), 0]]
+    )
+    assert inverse(RatMatrix.from_rows([[1, 2], [2, 4]])) is None
+    assert inverse(RatMatrix(0, 0, ())) == RatMatrix(0, 0, ())
+    with pytest.raises(ValueError):
+        inverse(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(square_matrix))
+def test_inverse_exists_exactly_when_det_is_nonzero(rows):
+    inv = inverse(RatMatrix.from_rows(rows))
+    assert (inv is None) == (cofactor_det(rows) == 0)
+    if inv is not None:
+        n = len(rows)
+        for i in range(n):
+            for j in range(n):
+                entry = sum(Fraction(rows[i][k]) * inv.at(k, j) for k in range(n))
+                assert entry == (1 if i == j else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,31 @@ def test_materialize_flags_deficient_diagonal():
         materialize(sp, [MatrixUnit(1, 2), MatrixUnit(2, 1)])
 
 
+def test_materialize_flags_duplicate_diagonal():
+    sp = SeaweedSpec.parse("1|2 / 3")
+    # one label too many: the algebra would come out bigger than the seaweed
+    with pytest.raises(SpanError):
+        materialize(sp, standard_basis(sp) + [DiagDiff(1)])
+    # right count, but h(1) twice and no h(2)
+    basis = [DiagDiff(1) if lab == DiagDiff(2) else lab for lab in standard_basis(sp)]
+    with pytest.raises(SpanError):
+        materialize(sp, basis)
+
+
+def test_materialize_two_custom_diagonals():
+    sp = SeaweedSpec.parse("1|4 / 3|1|1")
+    H = CustomDiagonal("H", tuple(Fraction(x) for x in (2, -3, 2, 2, -3)))
+    K = CustomDiagonal("K", tuple(Fraction(x) for x in (1, 1, Fraction(-1, 2), 0, Fraction(-3, 2))))
+    swap = {DiagDiff(1): H, DiagDiff(3): K}
+    basis = [swap.get(lab, lab) for lab in standard_basis(sp)]
+    assert basis.index(K) == 2
+    L = materialize(sp, basis)
+    assert jacobi_check(L) == []
+    assert index_randomized(L, trials=25, seed=1729) == index_randomized(
+        materialize(sp), trials=25, seed=1729
+    )
+
+
 # ---------------------------------------------------------------------------
 # dual matrices
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import factorial
 
 from .contact import (
     DEFAULT_K_MAX,
@@ -46,6 +45,7 @@ from .liealg import (
     CoeffForm,
     bhat_det,
     index_randomized,
+    squared_identity_holds,
     wedge_volume_coefficient,
 )
 from .meander import build_meander, components, orient, render
@@ -258,7 +258,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
         return 3
     rng = random.Random(seed)
-    k = (L.dim - 1) // 2
     worst = Fraction(0)
     squared_ok = True
     for _ in range(args.trials):
@@ -266,7 +265,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         d = bhat_det(L, phi)
         w = wedge_volume_coefficient(L, phi)
         worst = max(worst, abs(d - w))
-        if Fraction(factorial(k)) ** 2 * d != w**2:
+        if not squared_identity_holds(L.dim, d, w):
             squared_ok = False
     print(f"volume-form check: max |det - wedge| = {worst} over {args.trials} samples")
     print(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .exact import RatMatrix, det, kernel_basis
@@ -27,6 +26,7 @@ from .liealg import (
     ParityError,
     bhat_det,
     kirillov_matrix,
+    squared_identity_holds,
     wedge_volume_coefficient,
 )
 from .meander import build_meander, components, orient
@@ -438,9 +438,8 @@ def verify_certificate(cert: ContactCertificate) -> bool:
             if phi_H**2 * det(sub) != dval:
                 return False
         if L.dim <= 11:
-            kk = (L.dim - 1) // 2
             wedge = wedge_volume_coefficient(L, coeffs)
-            if Fraction(factorial(kk)) ** 2 * dval != wedge**2:
+            if not squared_identity_holds(L.dim, dval, wedge):
                 return False
         return True
     except Exception:

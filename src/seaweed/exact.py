@@ -1,9 +1,12 @@
 """Exact rational linear algebra on small dense matrices.
 
-Determinant, rank, and kernel over Q, exact at every step. The heavy lifting
-happens on integer matrices (each row scaled by its denominator lcm, which
-changes neither rank nor kernel and scales det by a known factor) inside the
-``_kernels`` backend; this module owns the Fraction bookkeeping around it.
+Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
+lifting happens on integer matrices (each row scaled by its denominator lcm,
+which changes neither rank nor kernel and scales det by a known factor) inside
+the ``_kernels`` backend. ``_clear_denominators`` is the one place in the
+package that turns Fractions into integers and a common denominator; the
+integer Kirillov and bordered matrices of ``liealg`` use it too and never
+pass through ``RatMatrix``.
 """
 from __future__ import annotations
 
@@ -63,16 +66,22 @@ class RatMatrix:
         )
 
 
-def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], Fraction]:
+def _clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(den * values, den), with den the lcm of the values' denominators."""
+    vals = list(values)
+    den = 1
+    for x in vals:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns (int rows, det scale factor)."""
     out: list[list[int]] = []
-    scale = Fraction(1)
+    scale = 1
     for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([x.numerator * (den // x.denominator) for x in row])
+        ints, den = _clear_denominators(m.row(i))
+        out.append(ints)
         scale *= den
     return out, scale
 
@@ -82,7 +91,7 @@ def det(m: RatMatrix) -> Fraction:
     if not m.is_square():
         raise ValueError(f"determinant of non-square matrix {m.rows} x {m.cols}")
     rows, scale = _integer_rows(m)
-    return Fraction(_kernels.det_int(rows)) / scale
+    return Fraction(_kernels.det_int(rows), scale)
 
 
 def rank(m: RatMatrix) -> int:
@@ -156,10 +165,7 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def _normalize(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
+    ints, _ = _clear_denominators(vec)
     g = 0
     for v in ints:
         g = gcd(g, abs(v))

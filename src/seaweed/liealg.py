@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial
 from typing import Iterator, Sequence
 
 from . import _kernels
-from .exact import RatMatrix, det as _det
+from .exact import RatMatrix, _clear_denominators, det as _det  # noqa: F401 (perfbench reads _det)
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 25
@@ -130,13 +130,9 @@ class LieAlgebra:
         cached = self._int_cache  # type: ignore[attr-defined]
         if cached is not None:
             return cached
-        den = 1
-        for _, _, vec in self.table:
-            for _, c in vec:
-                den = lcm(den, c.denominator)
-        table = {
-            (i, j): [(k, int(c * den)) for k, c in vec] for i, j, vec in self.table
-        }
+        ints, den = _clear_denominators(c for _, _, vec in self.table for _, c in vec)
+        it = iter(ints)
+        table = {(i, j): [(k, next(it)) for k, _ in vec] for i, j, vec in self.table}
         object.__setattr__(self, "_int_cache", (den, table))
         return den, table
 
@@ -218,23 +214,16 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 
 
 def kirillov_matrix(L: LieAlgebra, phi: CoeffForm) -> RatMatrix:
-    """The skew matrix [B_phi] with (i, j) entry phi([E_i, E_j])."""
-    if len(phi) != L.dim:
-        raise ValueError("form length != dim")
-    co = phi.coefficients
-    d = L.dim
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i, j, vec in L.pairs():
-        v = sum((c * co[k] for k, c in vec), Fraction(0))
-        rows[i][j] = v
-        rows[j][i] = -v
-    return RatMatrix.from_rows(rows)
+    """The skew matrix [B_phi] with (i, j) entry phi([E_i, E_j]), read off
+    the integer evaluation bhat_det uses with its scale divided back out."""
+    _, rows, s = _scaled_form(L, phi)
+    return RatMatrix.from_rows([Fraction(v, s) for v in row] for row in rows)
 
 
 def _kirillov_int_rows(L: LieAlgebra, phi_ints: Sequence[int]) -> list[list[int]]:
-    """Integer-scaled Kirillov rows (global denominator cleared); same rank."""
-    den, table = L._integer_table()
-    del den  # scaling does not affect rank or kernel dimension
+    """Rows of den * B_phi for integer phi, den the table's denominator: the
+    one place phi([E_i, E_j]) is evaluated. The scale leaves the rank alone."""
+    _, table = L._integer_table()
     d = L.dim
     rows = [[0] * d for _ in range(d)]
     for (i, j), vec in table.items():
@@ -245,6 +234,16 @@ def _kirillov_int_rows(L: LieAlgebra, phi_ints: Sequence[int]) -> list[list[int]
             rows[i][j] = v
             rows[j][i] = -v
     return rows
+
+
+def _scaled_form(L: LieAlgebra, phi: CoeffForm) -> tuple[list[int], list[list[int]], int]:
+    """(s * phi, s * B_phi, s) in integers, where s is the table's global
+    denominator times the lcm of phi's denominators."""
+    if len(phi) != L.dim:
+        raise ValueError("form length != dim")
+    phi_ints, phi_den = _clear_denominators(phi.coefficients)
+    den, _ = L._integer_table()
+    return [den * v for v in phi_ints], _kirillov_int_rows(L, phi_ints), den * phi_den
 
 
 def index_randomized(
@@ -287,31 +286,17 @@ def bhat_det(L: LieAlgebra, phi: CoeffForm) -> Fraction:
 
     Defined for odd-dimensional algebras (the matrix is even-sized skew, so
     the determinant is a perfect square and vanishes exactly when phi fails
-    to be a contact form).
+    to be a contact form). It is assembled once, in integers, as s times
+    the bordered matrix, whose determinant is s^(d+1) times the answer.
     """
     d = L.dim
     if d % 2 == 0:
         raise ParityError(f"bhat_det needs odd dimension, got {d}")
-    if len(phi) != d:
-        raise ValueError("form length != dim")
-    B = kirillov_matrix(L, phi)
-    co = phi.coefficients
-    rows = [[Fraction(0), *co]]
+    sphi, sB, s = _scaled_form(L, phi)
+    rows = [[0, *sphi]]
     for i in range(d):
-        rows.append([-co[i], *B.row(i)])
-    return _det(RatMatrix.from_rows(rows))
-
-
-def _bhat_det_int_is_zero(L: LieAlgebra, phi_ints: Sequence[int]) -> bool:
-    """Fast nonvanishing test for bhat_det with integer phi."""
-    d = L.dim
-    den, _ = L._integer_table()
-    B = _kirillov_int_rows(L, phi_ints)
-    scaled = [den * v for v in phi_ints]
-    rows = [[0, *scaled]]
-    for i in range(d):
-        rows.append([-scaled[i], *B[i]])
-    return _kernels.det_int(rows) == 0
+        rows.append([-sphi[i], *sB[i]])
+    return Fraction(_kernels.det_int(rows), s ** (d + 1))
 
 
 def wedge_volume_coefficient(L: LieAlgebra, phi: CoeffForm) -> Fraction:
@@ -319,34 +304,24 @@ def wedge_volume_coefficient(L: LieAlgebra, phi: CoeffForm) -> Fraction:
 
     Direct exterior-algebra expansion over bitmask multivectors, with the sign
     convention dphi(E_i, E_j) = -phi([E_i, E_j]). Multilinearity lets the whole
-    computation run on integers: phi and the two-form are scaled separately and
-    the scale is divided back out at the end. The result is
-    (-1)^k k! Pf(Bhat_phi), hence (k!)^2 bhat_det(L, phi) = wedge^2.
+    computation run on integers: it reads s * phi and s * B_phi, the same
+    integer evaluation bhat_det uses, and divides s^(k+1) back out at the end.
+    The result is (-1)^k k! Pf(Bhat_phi), hence (k!)^2 bhat_det(L, phi) =
+    wedge^2 (see squared_identity_holds).
     """
     d = L.dim
     if d % 2 == 0:
         raise ParityError(f"wedge oracle needs odd dimension, got {d}")
     if d > WEDGE_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the exterior-algebra cap {WEDGE_DIM_CAP}")
-    if len(phi) != d:
-        raise ValueError("form length != dim")
     k = (d - 1) // 2
 
-    B = kirillov_matrix(L, phi)
-    phi_den = 1
-    for x in phi.coefficients:
-        phi_den = lcm(phi_den, x.denominator)
-    two_den = 1
-    for x in B.entries:
-        two_den = lcm(two_den, x.denominator)
-
-    phi_int = [int(x * phi_den) for x in phi.coefficients]
+    sphi, sB, scale = _scaled_form(L, phi)
     two: dict[int, int] = {}
     for i in range(d):
         for j in range(i + 1, d):
-            c = -int(B.at(i, j) * two_den)
-            if c:
-                two[(1 << i) | (1 << j)] = c
+            if sB[i][j]:
+                two[(1 << i) | (1 << j)] = -sB[i][j]
 
     cur: dict[int, int] = {0: 1}
     for _ in range(k):
@@ -371,15 +346,24 @@ def wedge_volume_coefficient(L: LieAlgebra, phi: CoeffForm) -> Fraction:
     full = (1 << d) - 1
     total = 0
     for i in range(d):
-        if not phi_int[i]:
+        if not sphi[i]:
             continue
         rest = full ^ (1 << i)
         c = cur.get(rest)
         if not c:
             continue
         below = (rest & ((1 << i) - 1)).bit_count()
-        total += -phi_int[i] * c if below & 1 else phi_int[i] * c
-    return Fraction(total, phi_den * two_den**k)
+        total += -sphi[i] * c if below & 1 else sphi[i] * c
+    return Fraction(total, scale ** (k + 1))
+
+
+def squared_identity_holds(dim: int, det: Fraction, wedge: Fraction) -> bool:
+    """(k!)^2 det == wedge^2, dim = 2k + 1: how bhat_det and the wedge at one
+    phi must agree, as det = Pf(Bhat_phi)^2 and wedge = (-1)^k k! Pf(Bhat_phi).
+    Degrees match (2k+2 in phi on both sides), and det, wedge vanish together.
+    """
+    k = (dim - 1) // 2
+    return factorial(k) ** 2 * det == wedge**2
 
 
 def contact_search_randomized(
@@ -401,7 +385,7 @@ def contact_search_randomized(
         raise ValueError("trials must be >= 1")
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     for _ in range(trials):
-        phi_ints = [rng.randint(-bound, bound) for _ in range(L.dim)]
-        if not _bhat_det_int_is_zero(L, phi_ints):
-            return ContactWitness(CoeffForm.from_values(phi_ints))
+        form = CoeffForm.from_values([rng.randint(-bound, bound) for _ in range(L.dim)])
+        if bhat_det(L, form) != 0:
+            return ContactWitness(form)
     return ProbablyNotContact(trials)

@@ -23,6 +23,7 @@ from seaweed.liealg import (
     index_randomized,
     jacobi_check,
     kirillov_matrix,
+    squared_identity_holds,
     wedge_volume_coefficient,
 )
 
@@ -33,8 +34,24 @@ def sl2() -> LieAlgebra:
     )
 
 
+def sl2_half() -> LieAlgebra:
+    """sl(2) in the basis (2h, e, f): [e, f] = 1/2 (2h), a non-integral table."""
+    return LieAlgebra.from_table(
+        3,
+        ["2h", "e", "f"],
+        {(0, 1): {1: 4}, (0, 2): {2: -4}, (1, 2): {0: Fraction(1, 2)}},
+    )
+
+
 def abelian(d: int) -> LieAlgebra:
     return LieAlgebra.from_table(d, [f"a{i}" for i in range(d)], {})
+
+
+def rational_form(rng, dim):
+    """phi with numerators in [-6, 6] and denominators 1..4."""
+    return CoeffForm.from_values(
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+    )
 
 
 def pfaffian(rows):
@@ -59,12 +76,18 @@ def pfaffian(rows):
 
 
 def bhat_rows(L, phi):
-    """The bordered matrix itself, for oracles that need more than its det."""
-    B = kirillov_matrix(L, phi)
+    """The bordered matrix itself, for oracles that need more than its det.
+
+    Built in Fractions straight from the structure constants, so it shares
+    no code with kirillov_matrix or bhat_det and can serve as their reference.
+    """
     co = phi.coefficients
     rows = [[Fraction(0), *co]]
     for i in range(L.dim):
-        rows.append([-co[i], *B.row(i)])
+        row = [-co[i]]
+        for j in range(L.dim):
+            row.append(sum((c * co[k] for k, c in L.bracket_coeffs(i, j)), Fraction(0)))
+        rows.append(row)
     return rows
 
 
@@ -143,6 +166,12 @@ def test_kirillov_matrix_golden(three_dim_solvable):
     B = kirillov_matrix(three_dim_solvable, phi)
     assert B.to_rows() == [[0, 7, 11], [-7, 0, 0], [-11, 0, 0]]
     assert B.is_skew_symmetric()
+    # a rational phi over a table with a half-integer structure constant
+    phi = CoeffForm.from_values([Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)])
+    sixth = Fraction(1, 6)
+    assert kirillov_matrix(sl2_half(), phi).to_rows() == [
+        [0, 2, -1], [-2, 0, sixth], [1, -sixth, 0]
+    ]
 
 
 def test_index_of_abelian_is_dimension():
@@ -223,19 +252,30 @@ def test_wedge_parity_and_cap():
 
 
 def test_wedge_matches_pfaffian_oracle(three_dim_solvable, heisenberg5):
-    """wedge = (-1)^k k! Pf(bordered matrix), hence (k!)^2 det = wedge^2."""
+    """wedge = (-1)^k k! Pf(bordered matrix), hence (k!)^2 det = wedge^2.
+
+    Integer and rational phi, over integer tables and over sl2_half, whose
+    table denominator is 2: a wrong common scale in bhat_det or the wedge
+    cancels in the squared identity but not against the Pfaffian. The
+    Kirillov matrix is checked against the same Fraction reference.
+    """
     rng = random.Random(17)
-    for L in (sl2(), three_dim_solvable, heisenberg5):
+    for L in (sl2(), sl2_half(), three_dim_solvable, heisenberg5):
         k = (L.dim - 1) // 2
-        for _ in range(15):
-            phi = CoeffForm.from_values([rng.randint(-6, 6) for _ in range(L.dim)])
+        forms = [CoeffForm.from_values([rng.randint(-6, 6) for _ in range(L.dim)])
+                 for _ in range(15)]
+        forms += [rational_form(rng, L.dim) for _ in range(15)]
+        for phi in forms:
             rows = bhat_rows(L, phi)
+            assert kirillov_matrix(L, phi).to_rows() == [r[1:] for r in rows[1:]]
             pf = pfaffian(rows)
             w = wedge_volume_coefficient(L, phi)
             d = bhat_det(L, phi)
             assert w == (-1) ** k * factorial(k) * pf
             assert d == pf * pf
             assert Fraction(factorial(k)) ** 2 * d == w * w
+            assert squared_identity_holds(L.dim, d, w)
+            assert squared_identity_holds(L.dim, 2 * d, w) == (d == 0)
 
 
 def test_bhat_det_is_pfaffian_squared_hence_nonnegative(heisenberg5):

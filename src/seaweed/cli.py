@@ -243,6 +243,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        print(f"seaweed: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return 2
     spec = _parse_spec(args.spec)
     L = materialize(spec)
     seed = _resolve_seed(args)

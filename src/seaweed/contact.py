@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RatMatrix, det, kernel_basis
+from . import _kernels
 from .liealg import (
     CoeffForm,
     LieAlgebra,
     ParityError,
+    _scaled_form,
     bhat_det,
-    kirillov_matrix,
     squared_identity_holds,
     wedge_volume_coefficient,
 )
@@ -224,6 +224,11 @@ def regular_form_from_meander(spec: SeaweedSpec) -> OneForm:
     return OneForm.from_terms(spec.n, [(e, Fraction(1)) for e in dm.edges()])
 
 
+def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
+    """The square matrix without its row and column h."""
+    return [row[:h] + row[h + 1 :] for r, row in enumerate(rows) if r != h]
+
+
 def _partial_diag_dual(n: int, i: int) -> OneForm:
     """Sum of the first i diagonal duals, the dual-matrix reading of h(i)*."""
     return OneForm.from_terms(n, [((k, k), Fraction(1)) for k in range(1, i + 1)])
@@ -260,9 +265,10 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     L = materialize(spec, basis)
 
     fbar = regular_form_from_meander(spec)
-    fbar_coeffs = dual_matrix_to_coeffs(spec, basis, fbar.as_dict())
-    ker = kernel_basis(kirillov_matrix(L, fbar_coeffs))
-    if len(ker) != 1 or ker[0][0] == 0 or any(x != 0 for x in ker[0][1:]):
+    # ker B_phi = span(H) iff H's column (hence row: B_phi is skew) is 0 and det C' != 0
+    h = basis.index(H)
+    _, sB, _ = _scaled_form(L, dual_matrix_to_coeffs(spec, basis, fbar.as_dict()))
+    if any(row[h] for row in sB) or _kernels.det_int(_drop(sB, h)) == 0:
         raise TheoremViolationError(
             f"regular form of {spec.text()} does not kill exactly the H line"
         )
@@ -431,11 +437,10 @@ def verify_certificate(cert: ContactCertificate) -> bool:
             if len(hpos) != 1:
                 return False
             h = hpos[0]
-            phi_H = coeffs.coefficients[h]
-            B = kirillov_matrix(L, coeffs)
-            keep = [r for r in range(L.dim) if r != h]
-            sub = RatMatrix.from_rows([[B.at(r, c) for c in keep] for r in keep])
-            if phi_H**2 * det(sub) != dval:
+            # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
+            sphi, sB, s = _scaled_form(L, coeffs)
+            minor = _kernels.det_int(_drop(sB, h))
+            if Fraction(sphi[h] ** 2 * minor, s ** (L.dim + 1)) != dval:
                 return False
         if L.dim <= 11:
             wedge = wedge_volume_coefficient(L, coeffs)

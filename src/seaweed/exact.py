@@ -4,9 +4,10 @@ Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
 lifting happens on integer matrices (each row scaled by its denominator lcm,
 which changes neither rank nor kernel and scales det by a known factor) inside
 the ``_kernels`` backend. ``_clear_denominators`` is the one place in the
-package that turns Fractions into integers and a common denominator; the
-integer Kirillov and bordered matrices of ``liealg`` use it too and never
-pass through ``RatMatrix``.
+package that turns Fractions into integers and a common denominator. Within
+the library ``RatMatrix`` serves only ``materialize``'s inverse: the integer
+Kirillov and bordered matrices of ``liealg``, and the minors ``contact``
+takes of them, never pass through it.
 """
 from __future__ import annotations
 
@@ -112,23 +113,16 @@ def inverse(m: RatMatrix) -> RatMatrix | None:
     if not m.is_square():
         raise ValueError(f"inverse of non-square matrix {m.rows} x {m.cols}")
     n = m.rows
-    zero, one = Fraction(0), Fraction(1)
-    aug = RatMatrix(n, 2 * n, tuple(
-        x for i in range(n) for x in (*m.row(i), *(one if j == i else zero for j in range(n)))
-    ))
-    ech, pivots = _kernels.echelon_int(_integer_rows(aug)[0])
+    aug = []  # [m | I] with each row's denominators cleared
+    for i in range(n):
+        ints, den = _clear_denominators(m.row(i))
+        aug.append(ints + [den if j == i else 0 for j in range(n)])
+    ech, pivots = _kernels.echelon_int(aug)
     if pivots != list(range(n)):
         return None
-    inv = [[zero] * n for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        row = ech[r]
-        for k in range(n):
-            s = row[n + k] - sum(
-                row[j] * inv[j][k] for j in range(r + 1, n) if row[j] and inv[j][k]
-            )
-            if s:
-                inv[r][k] = Fraction(s, row[r])
-    return RatMatrix(n, n, tuple(x for row in inv for x in row))
+    # column k of m^-1 is the top half of the kernel vector whose I-part is -e_k
+    cols = [_kernel_vector(ech, pivots, 2 * n, n + k, -1) for k in range(n)]
+    return RatMatrix(n, n, tuple(cols[k][r] for r in range(n) for k in range(n)))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -138,30 +132,29 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     integer entries with positive leading sign, in free-column order. The
     length is always cols - rank(m).
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        ech: list[list[int]] = []
-        pivots: list[int] = []
-    else:
-        rows, _ = _integer_rows(m)
-        ech, pivots = _kernels.echelon_int(rows)
-    pivot_set = set(pivots)
-    basis: list[tuple[Fraction, ...]] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * m.cols
-        x[free] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            if pc > free:
-                continue
-            s = sum((Fraction(ech[r][j]) * x[j] for j in range(pc + 1, m.cols)),
-                    Fraction(0))
-            x[pc] = -s / ech[r][pc]
-        basis.append(_normalize(x))
-    return basis
+    ech, pivots = _kernels.echelon_int(_integer_rows(m)[0])
+    return [
+        _normalize(_kernel_vector(ech, pivots, m.cols, free, 1))
+        for free in range(m.cols)
+        if free not in pivots
+    ]
+
+
+def _kernel_vector(
+    ech: list[list[int]], pivots: list[int], width: int, free: int, value: int
+) -> list[Fraction]:
+    """x with ech x = 0, x[free] = value and x zero on every other free column,
+    by back substitution that reads only the nonzero entries found so far."""
+    x = [Fraction(0)] * width
+    x[free] = Fraction(value)
+    nonzero = [free]  # every index here lies right of the pivot being solved
+    for pc, row in reversed(list(zip(pivots, ech))):
+        if pc < free:
+            s = sum(row[j] * x[j] for j in nonzero if row[j])
+            if s:
+                x[pc] = -s / row[pc]
+                nonzero.append(pc)
+    return x
 
 
 def _normalize(vec: list[Fraction]) -> tuple[Fraction, ...]:

@@ -344,9 +344,7 @@ def materialize(
     # column c holds the h-coordinates of the c-th diagonal label; its inverse
     # exists exactly when the diagonal labels form a basis
     cols = [_h_coords({a: v for (a, _), v in mats[pos].items()}, n) for pos in diag_pos]
-    inv = None if len(diag_pos) != n - 1 else inverse(
-        RatMatrix(n - 1, n - 1, tuple(x for row in zip(*cols) for x in row))
-    )
+    inv = None if len(diag_pos) != n - 1 else inverse(RatMatrix.from_rows(zip(*cols)))
     if inv is None:
         raise SpanError(
             f"the {len(diag_pos)} diagonal labels are not a basis of the traceless diagonals"

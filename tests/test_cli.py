@@ -332,6 +332,14 @@ def test_oracle_lemma1_needs_odd_small_dimension(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_oracle_rejects_trials_below_one(capsys, trials):
+    # bad input, not a failed check: exit 2 and one line on stderr, no traceback
+    rc, out, err = run(capsys, "oracle", "2 / 2", "--trials", trials)
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: --trials must be at least 1, got {trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------

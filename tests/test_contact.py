@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import seaweed.contact
 from seaweed.cli import main
 from seaweed.contact import (
     ContactCertificate,
     NotIndexOneError,
     OneForm,
     SynthesisError,
+    TheoremViolationError,
     WrongCaseError,
     case1_contact,
     case2_contact,
@@ -23,6 +25,7 @@ from seaweed.contact import (
 )
 from seaweed.standard_form import (
     CustomDiagonal,
+    DiagDiff,
     MatrixUnit,
     SeaweedSpec,
     dual_matrix_to_coeffs,
@@ -31,7 +34,7 @@ from seaweed.standard_form import (
     standard_basis,
 )
 from seaweed.exact import RatMatrix, kernel_basis, rank
-from seaweed.liealg import kirillov_matrix
+from seaweed.liealg import bhat_det, kirillov_matrix
 from seaweed.meander import build_meander, components, index as meander_index
 
 
@@ -199,6 +202,25 @@ def test_two_path_kernel_is_h_line():
             expected = tuple(Fraction(s, g) for s in partial)
             expected += (Fraction(0),) * (len(basis) - (n - 1))
             assert ker[0] == expected, sp.text()
+
+
+@pytest.mark.parametrize(
+    "text, joining_unit", [("1|3|3 / 7", (1, 4)), ("1|4 / 3|1|1", (1, 2))]
+)
+def test_case1_rejects_regular_form_that_does_not_kill_only_h(
+    monkeypatch, text, joining_unit
+):
+    # The zero form kills everything; adding the dual of a unit that joins the
+    # two paths gives a form whose kernel is no longer the H line.
+    real = regular_form_from_meander
+    forms = [
+        lambda sp: OneForm.from_terms(sp.n, []),
+        lambda sp: real(sp).plus(OneForm.from_terms(sp.n, {joining_unit: 1})),
+    ]
+    for fake in forms:
+        monkeypatch.setattr(seaweed.contact, "regular_form_from_meander", fake)
+        with pytest.raises(TheoremViolationError, match="does not kill exactly the H line"):
+            case1_contact(spec(text))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +392,26 @@ def test_verify_rejects_wrong_spec():
     cert = synthesize_contact(spec("2 / 2"))
     other = synthesize_contact(spec("1|1 / 1|1"))
     assert not verify_certificate(dataclasses.replace(cert, spec=other.spec))
+
+
+def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
+    # Relabel each one-cycle certificate's h(1) as the same diagonal written
+    # as a custom H and call it TwoPaths: algebra and determinant are
+    # unchanged, so only det = phi(H)^2 det C' can reject it.
+    forged = []
+    for n in range(2, 7):
+        for sp in spec_pairs(n):
+            rep = components(build_meander(sp))
+            if rep.C == 1 and rep.P == 0:
+                cert = case2_contact(sp)
+                h = CustomDiagonal("H", tuple(map(Fraction, (1, -1) + (0,) * (n - 2))))
+                basis = tuple(h if b == DiagDiff(1) else b for b in cert.basis)
+                forged.append(dataclasses.replace(cert, basis=basis, case="TwoPaths"))
+    assert len(forged) == 9
+    for cert in forged:
+        coeffs = dual_matrix_to_coeffs(cert.spec, cert.basis, cert.form.as_dict())
+        assert bhat_det(materialize(cert.spec, cert.basis), coeffs) == cert.det_value
+        assert not verify_certificate(cert), cert.spec.text()
 
 
 def forged_sl3_certificate():

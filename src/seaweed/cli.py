@@ -50,7 +50,8 @@ from .liealg import (
 )
 from .meander import build_meander, components, orient, render
 from .meander import index_gcd_2part, index_gcd_3part
-from .standard_form import SeaweedSpec, compositions, materialize, seaweed_dim
+from .standard_form import Composition, SeaweedSpec, compositions
+from .standard_form import materialize, seaweed_dim
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -169,9 +170,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_row(task: tuple[str, bool, int | None]) -> tuple[str, ...]:
-    text, classify, index_filter = task
-    spec = SeaweedSpec.parse(text)
+def _census_row(
+    task: tuple[tuple[int, ...], tuple[int, ...], bool, int | None]
+) -> tuple[str, ...]:
+    top, bottom, classify, index_filter = task
+    spec = SeaweedSpec(Composition(top), Composition(bottom))
     rep = components(build_meander(spec))
     idx = rep.index
     row = [
@@ -201,11 +204,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= n <= 12:
         print("seaweed: n must be between 1 and 12", file=sys.stderr)
         return 2
-    tasks = []
-    for top in compositions(n):
-        for bottom in compositions(n):
-            text = f"{'|'.join(map(str, top))} / {'|'.join(map(str, bottom))}"
-            tasks.append((text, args.classify, args.index_filter))
+    parts = list(compositions(n))
+    tasks = [(t, b, args.classify, args.index_filter) for t in parts for b in parts]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_census_row, tasks, chunksize=64))

@@ -106,9 +106,7 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         rows = []
         for (i, j), vec in sorted(brackets.items()):
-            sv = tuple(
-                (k, Fraction(c)) for k, c in sorted(vec.items()) if Fraction(c) != 0
-            )
+            sv = tuple((k, Fraction(c)) for k, c in sorted(vec.items()) if c)
             if sv:
                 rows.append((i, j, sv))
         return cls(dim, tuple(basis_labels), tuple(rows))

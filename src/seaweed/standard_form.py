@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence, Union
 
 from .exact import RatMatrix, inverse
@@ -270,41 +271,19 @@ def seaweed_dim(spec: SeaweedSpec) -> int:
 # materialization
 # ---------------------------------------------------------------------------
 
-def _label_matrix(label: BasisLabel, n: int) -> dict[tuple[int, int], Fraction]:
+def _diagonal(label: BasisLabel, n: int) -> Sequence[Fraction | int] | None:
+    """A diagonal label's n entries, or None for a unit, after its range check."""
     if isinstance(label, MatrixUnit):
         if not (1 <= label.i <= n and 1 <= label.j <= n):
             raise ValueError(f"unit {label} out of range for n={n}")
-        return {(label.i, label.j): Fraction(1)}
+        return None
     if isinstance(label, DiagDiff):
         if not (1 <= label.i <= n - 1):
             raise ValueError(f"diagonal difference {label} out of range for n={n}")
-        return {(label.i, label.i): Fraction(1), (label.i + 1, label.i + 1): Fraction(-1)}
+        return [0] * (label.i - 1) + [1, -1] + [0] * (n - 1 - label.i)
     if len(label.entries) != n:
         raise ValueError(f"custom diagonal {label.name!r} has wrong length")
-    return {(k, k): v for k, v in enumerate(label.entries, start=1) if v != 0}
-
-
-def _commutator(
-    X: Mapping[tuple[int, int], Fraction], Y: Mapping[tuple[int, int], Fraction]
-) -> dict[tuple[int, int], Fraction]:
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (a, b), v in X.items():
-        for (c, d), w in Y.items():
-            if b == c:
-                acc[(a, d)] = acc.get((a, d), Fraction(0)) + v * w
-            if d == a:
-                acc[(c, b)] = acc.get((c, b), Fraction(0)) - v * w
-    return {k: v for k, v in acc.items() if v != 0}
-
-
-def _h_coords(diag: Mapping[int, Fraction], n: int) -> list[Fraction]:
-    """Coordinates of a traceless diagonal in h(1)..h(n-1): its partial sums."""
-    out = []
-    s = Fraction(0)
-    for k in range(1, n):
-        s += diag.get(k, 0)
-        out.append(s)
-    return out
+    return label.entries
 
 
 def materialize(
@@ -315,14 +294,20 @@ def materialize(
     A given basis must be a full basis of the seaweed: seaweed_dim(spec)
     labels, every unit admissible and listed once, and diagonal labels that
     form a basis of the traceless diagonals. Anything else raises SpanError.
-    Off-diagonal bracket components then land on unit labels, and diagonal
-    components go through their h(1)..h(n-1) coordinates and the inverse of
-    the diagonal labels' own h-coordinate matrix (the identity for the
-    standard basis).
+    Every bracket then follows from three gl(n) rules, with no matrix
+    products:
+
+    - [e(a,b), e(b,c)] = e(a,c) for a != c;
+    - [e(a,b), e(b,a)] = e(a,a) - e(b,b) = h(a) + ... + h(b-1) for a < b;
+    - [D, e(i,j)] = (D_i - D_j) e(i,j) for a diagonal D.
+
+    h(k) reaches the diagonal labels through the inverse of their own
+    h-coordinate matrix (the identity for the standard basis); a diagonal's
+    h-coordinates are its partial sums.
     """
     n = spec.n
     labels = list(standard_basis(spec) if basis is None else basis)
-    mats = [_label_matrix(lab, n) for lab in labels]
+    diagonals = [_diagonal(lab, n) for lab in labels]
     dim = len(labels)
     if dim != seaweed_dim(spec):
         raise SpanError(
@@ -343,7 +328,7 @@ def materialize(
 
     # column c holds the h-coordinates of the c-th diagonal label; its inverse
     # exists exactly when the diagonal labels form a basis
-    cols = [_h_coords({a: v for (a, _), v in mats[pos].items()}, n) for pos in diag_pos]
+    cols = [list(accumulate(diagonals[pos]))[:-1] for pos in diag_pos]
     inv = None if len(diag_pos) != n - 1 else inverse(RatMatrix.from_rows(zip(*cols)))
     if inv is None:
         raise SpanError(
@@ -355,26 +340,32 @@ def materialize(
         for k in range(n - 1)
     ]
 
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            com = _commutator(mats[x], mats[y])
-            if not com:
-                continue
-            vec: dict[int, Fraction] = {}
-            diag: dict[int, Fraction] = {}
-            for (a, b), v in com.items():
-                if a == b:
-                    diag[a] = v
-                else:
-                    vec[unit_pos[(a, b)]] = v
-            if diag:
-                for k, s in enumerate(_h_coords(diag, n)):
-                    if s:
-                        for pos, c in h_in_labels[k]:
-                            vec[pos] = vec.get(pos, 0) + s * c
-            if vec:
-                brackets[(x, y)] = vec
+    brackets: dict[tuple[int, int], dict[int, Fraction | int]] = {}
+
+    def add(x: int, y: int, z: int, c: Fraction | int) -> None:
+        """[E_x, E_y] gains c E_z."""
+        if x > y:
+            x, y, c = y, x, -c
+        vec = brackets.setdefault((x, y), {})
+        vec[z] = vec.get(z, 0) + c
+
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (b, c), y in unit_pos.items():
+        leaving[b].append((c, y))
+    for (a, b), x in unit_pos.items():
+        for pos in diag_pos:
+            d = diagonals[pos]
+            if d[a - 1] != d[b - 1]:
+                add(pos, x, x, d[a - 1] - d[b - 1])
+        for c, y in leaving[b]:
+            if c != a:
+                # admissible units are closed under the bracket, and the
+                # count check above means every one of them is listed
+                add(x, y, unit_pos[(a, c)], 1)
+            elif a < b:
+                for k in range(a - 1, b - 1):
+                    for pos, coef in h_in_labels[k]:
+                        add(x, y, pos, coef)
 
     return LieAlgebra.from_table(dim, [label_str(lab) for lab in labels], brackets)
 

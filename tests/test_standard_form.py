@@ -1,5 +1,7 @@
 """Compositions, specs, admissibility, bases, and structure constants."""
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,82 @@ def test_materialize_two_custom_diagonals():
     assert index_randomized(L, trials=25, seed=1729) == index_randomized(
         materialize(sp), trials=25, seed=1729
     )
+
+
+def test_materialize_checks_label_ranges():
+    sp = SeaweedSpec.parse("1|2 / 3")
+    basis = standard_basis(sp)
+    assert basis[0] == DiagDiff(1)
+    for bad in (
+        DiagDiff(0),
+        DiagDiff(3),
+        CustomDiagonal("C", (Fraction(1), Fraction(-1))),
+        # its first two partial sums are those of h(1)
+        CustomDiagonal("C", (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))),
+        MatrixUnit(0, 1),
+        MatrixUnit(3, 4),
+    ):
+        with pytest.raises(ValueError):
+            materialize(sp, [bad] + basis[1:])
+
+
+def _dense(label, n):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    if isinstance(label, MatrixUnit):
+        M[label.i - 1][label.j - 1] = Fraction(1)
+    elif isinstance(label, DiagDiff):
+        M[label.i - 1][label.i - 1], M[label.i][label.i] = Fraction(1), Fraction(-1)
+    else:
+        for k, v in enumerate(label.entries):
+            M[k][k] = v
+    return M
+
+
+def _dense_commutator(A, B):
+    n = len(A)
+    C = [[Fraction(0)] * n for _ in range(n)]
+    for X, Y, sign in ((A, B, 1), (B, A, -1)):
+        for i in range(n):
+            for k in range(n):
+                if X[i][k]:
+                    for j in range(n):
+                        C[i][j] += sign * X[i][k] * Y[k][j]
+    return C
+
+
+def _reference_bases(sp, rng):
+    """Standard, shuffled, and shuffled with a custom diagonal for some h(i)."""
+    shuffled = standard_basis(sp)
+    rng.shuffle(shuffled)
+    yield standard_basis(sp)
+    yield shuffled
+    if sp.n > 1:
+        i = rng.randrange(1, sp.n)
+        while True:
+            head = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(sp.n - 1)]
+            if list(accumulate(head))[i - 1]:
+                break
+        D = CustomDiagonal("D", tuple(head) + (-sum(head),))
+        yield [D if lab == DiagDiff(i) else lab for lab in shuffled]
+
+
+def test_brackets_match_dense_commutators():
+    rng = random.Random(1729)
+    specs = [sp for n in range(1, 5) for sp in spec_pairs(n)] + list(spec_pairs(5))[::8]
+    for sp in specs:
+        for basis in _reference_bases(sp, rng):
+            L = materialize(sp, basis)
+            mats = [_dense(lab, sp.n) for lab in basis]
+            for x in range(L.dim):
+                for y in range(x + 1, L.dim):
+                    got = [[Fraction(0)] * sp.n for _ in range(sp.n)]
+                    for z, c in L.bracket_coeffs(x, y):
+                        for i, row in enumerate(mats[z]):
+                            for j, v in enumerate(row):
+                                got[i][j] += c * v
+                    assert got == _dense_commutator(mats[x], mats[y]), (
+                        sp.text(), label_str(basis[x]), label_str(basis[y])
+                    )
 
 
 # ---------------------------------------------------------------------------

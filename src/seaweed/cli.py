@@ -21,8 +21,8 @@ an explicit --seed flag overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import random
@@ -200,42 +200,42 @@ def _census_row(
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """Census rows in (top, bottom) text order. CSV rows stream to stdout as
+    they are computed, so a row that raises leaves the earlier rows on stdout;
+    the table collects its rows for the column widths."""
     n = args.n
     if not 1 <= n <= 12:
         print("seaweed: n must be between 1 and 12", file=sys.stderr)
         return 2
-    parts = list(compositions(n))
-    tasks = [(t, b, args.classify, args.index_filter) for t in parts for b in parts]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_census_row, tasks, chunksize=64))
-    else:
-        rows = [_census_row(t) for t in tasks]
-    if args.index_filter is not None:
-        rows = [r for r in rows if r[3] == str(args.index_filter)]
-    rows.sort()
-
+    parts = sorted(compositions(n), key=lambda p: Composition(p).text())  # "10" < "1|9"
+    tasks = ((t, b, args.classify, args.index_filter) for t in parts for b in parts)
     header = ["top", "bottom", "dim", "index", "cycles", "paths"]
     if args.classify:
         header.append("case")
     if args.index_filter == 1:
         header.append("verified")
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
-    else:
-        widths = [
-            max(len(header[c]), max((len(r[c]) for r in rows), default=0))
-            for c in range(len(header))
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    failures = 0
+
+    def kept(rows):
+        nonlocal failures
         for r in rows:
-            print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+            if args.index_filter is None or r[3] == str(args.index_filter):
+                failures += args.index_filter == 1 and r[-1] != "yes"
+                yield r
+
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        rows = kept(pool.map(_census_row, tasks, chunksize=64) if pool else map(_census_row, tasks))
+        if args.csv:
+            writer = csv.writer(sys.stdout)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            table = list(rows)
+            widths = [max(map(len, column)) for column in zip(header, *table)]
+            print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+            for r in table:
+                print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
     if args.index_filter == 1:
-        failures = sum(1 for r in rows if r[-1] != "yes")
         print(f"verification failures: {failures}", file=sys.stderr)
         if failures:
             return 1

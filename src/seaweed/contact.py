@@ -24,6 +24,7 @@ from .liealg import (
     CoeffForm,
     LieAlgebra,
     ParityError,
+    _bordered_det,
     _scaled_form,
     bhat_det,
     squared_identity_holds,
@@ -429,7 +430,10 @@ def verify_certificate(cert: ContactCertificate) -> bool:
         spec = cert.spec
         L = materialize(spec, cert.basis)
         coeffs = dual_matrix_to_coeffs(spec, cert.basis, cert.form.as_dict())
-        dval = bhat_det(L, coeffs)
+        # one evaluation serves the determinant and the TwoPaths minor; in an
+        # even dimension the bordered matrix is odd-sized skew, so det is 0
+        sphi, sB, s = _scaled_form(L, coeffs)
+        dval = _bordered_det(sphi, sB, s)
         if dval == 0 or dval != cert.det_value:
             return False
         if cert.case == "TwoPaths":
@@ -438,7 +442,6 @@ def verify_certificate(cert: ContactCertificate) -> bool:
                 return False
             h = hpos[0]
             # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
-            sphi, sB, s = _scaled_form(L, coeffs)
             minor = _kernels.det_int(_drop(sB, h))
             if Fraction(sphi[h] ** 2 * minor, s ** (L.dim + 1)) != dval:
                 return False

@@ -287,10 +287,14 @@ def bhat_det(L: LieAlgebra, phi: CoeffForm) -> Fraction:
     to be a contact form). It is assembled once, in integers, as s times
     the bordered matrix, whose determinant is s^(d+1) times the answer.
     """
-    d = L.dim
-    if d % 2 == 0:
-        raise ParityError(f"bhat_det needs odd dimension, got {d}")
-    sphi, sB, s = _scaled_form(L, phi)
+    if L.dim % 2 == 0:
+        raise ParityError(f"bhat_det needs odd dimension, got {L.dim}")
+    return _bordered_det(*_scaled_form(L, phi))
+
+
+def _bordered_det(sphi: Sequence[int], sB: Sequence[Sequence[int]], s: int) -> Fraction:
+    """bhat_det from a one-form's integer evaluation (s*phi, s*B_phi, s)."""
+    d = len(sphi)
     rows = [[0, *sphi]]
     for i in range(d):
         rows.append([-sphi[i], *sB[i]])

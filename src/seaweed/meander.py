@@ -157,60 +157,33 @@ def components(m: Meander) -> ComponentReport:
         bottom_of[u] = v
         bottom_of[v] = u
 
-    def walk(start: int, layer: str) -> list[int]:
+    def walk(start: int, side: dict[int, int], other: dict[int, int]) -> tuple[list[int], bool]:
+        """Follow side, other, side, ... from start to a bare end or back to start."""
         seq = [start]
-        cur, lay = start, layer
-        while True:
-            partner = (top_of if lay == "top" else bottom_of).get(cur)
-            if partner is None or partner == start:
-                return seq
-            seq.append(partner)
-            cur = partner
-            lay = "bottom" if lay == "top" else "top"
+        cur = side.get(start)
+        while cur is not None and cur != start:
+            seq.append(cur)
+            side, other = other, side
+            cur = side.get(cur)
+        return seq, cur is not None
 
     seen: set[int] = set()
     comps: list[Component] = []
     for v in range(1, m.n + 1):
         if v in seen:
             continue
-        t, b = top_of.get(v), bottom_of.get(v)
-        if t is None and b is None:
-            comps.append(Component("path", (v,)))
-            seen.add(v)
-            continue
-        if t is not None and b is not None:
-            fwd = walk(v, "top")
-            if _closes(v, fwd, top_of, bottom_of):
-                first = "top" if t <= b else "bottom"
-                verts = tuple(walk(v, first))
-                comps.append(Component("cycle", verts))
-                seen.update(verts)
-                continue
-            # v is interior to a path: extend backwards along the bottom edge
-            back = walk(v, "bottom")
-            verts_list = list(reversed(back[1:])) + fwd
-            e1, e2 = verts_list[0], verts_list[-1]
-            if e1 > e2:
-                verts_list.reverse()
-            comps.append(Component("path", tuple(verts_list)))
-            seen.update(verts_list)
-            continue
-        verts = tuple(walk(v, "top" if t is not None else "bottom"))
-        other_end = verts[-1]
-        if other_end < v:
-            verts = tuple(reversed(verts))
-        comps.append(Component("path", verts))
+        verts, closed = walk(v, top_of, bottom_of)
+        if closed:
+            # the walk left v along the top and came back along the bottom
+            if verts[-1] < verts[1]:
+                verts = [v] + verts[:0:-1]
+        else:
+            verts = walk(v, bottom_of, top_of)[0][:0:-1] + verts
+            if verts[-1] < verts[0]:
+                verts.reverse()
+        comps.append(Component("cycle" if closed else "path", tuple(verts)))
         seen.update(verts)
     return ComponentReport(tuple(comps))
-
-
-def _closes(
-    start: int, seq: list[int], top_of: dict[int, int], bottom_of: dict[int, int]
-) -> bool:
-    """Did the alternating walk return to its start (i.e. trace a cycle)?"""
-    last = seq[-1]
-    layer = "top" if len(seq) % 2 == 1 else "bottom"
-    return (top_of if layer == "top" else bottom_of).get(last) == start
 
 
 def index(spec: SeaweedSpec) -> int:
@@ -318,21 +291,13 @@ def _render_svg(m: Meander | DirectedMeander) -> str:
     def x(v: int) -> int:
         return step * v
 
-    for side, edges in (("top", m.top_edges), ("bottom", m.bottom_edges)):
-        for (u, v) in edges:
-            if directed:
-                src, tgt = u, v
-            else:
-                # same geometry as the oriented picture, without arrowheads
-                src, tgt = (max(u, v), min(u, v)) if side == "top" else (
-                    min(u, v),
-                    max(u, v),
-                )
-            r = abs(x(tgt) - x(src)) / 2
-            lines.append(
-                f'<path d="M {x(src)} {y} A {r:g} {r:g} 0 0 0 {x(tgt)} {y}" '
-                f'fill="none" stroke="black"{mark}/>'
-            )
+    # an undirected meander keeps the oriented geometry, without arrowheads
+    for (src, tgt) in (m if directed else orient(m)).edges():
+        r = abs(x(tgt) - x(src)) / 2
+        lines.append(
+            f'<path d="M {x(src)} {y} A {r:g} {r:g} 0 0 0 {x(tgt)} {y}" '
+            f'fill="none" stroke="black"{mark}/>'
+        )
     for v in range(1, m.n + 1):
         lines.append(f'<circle cx="{x(v)}" cy="{y}" r="3" fill="black"/>')
         lines.append(
@@ -351,16 +316,8 @@ def _render_tikz(m: Meander | DirectedMeander) -> str:
         "\\node (v\\i) at (\\i, 0) [label=below:$v_{\\i}$] {};",
     ]
     style = "[->] " if directed else ""
-    for side, edges in (("top", m.top_edges), ("bottom", m.bottom_edges)):
-        for (u, v) in edges:
-            if directed:
-                src, tgt = u, v
-            else:
-                src, tgt = (max(u, v), min(u, v)) if side == "top" else (
-                    min(u, v),
-                    max(u, v),
-                )
-            lines.append(f"  \\draw {style}(v{src}) to[bend right=60] (v{tgt});")
+    for (src, tgt) in (m if directed else orient(m)).edges():
+        lines.append(f"  \\draw {style}(v{src}) to[bend right=60] (v{tgt});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 

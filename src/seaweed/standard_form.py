@@ -306,7 +306,8 @@ def materialize(
     h-coordinates are its partial sums.
     """
     n = spec.n
-    labels = list(standard_basis(spec) if basis is None else basis)
+    standard = standard_basis(spec)
+    labels = list(standard if basis is None else basis)
     diagonals = [_diagonal(lab, n) for lab in labels]
     dim = len(labels)
     if dim != seaweed_dim(spec):
@@ -314,11 +315,12 @@ def materialize(
             f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
         )
 
+    units = {lab for lab in standard if isinstance(lab, MatrixUnit)}
     unit_pos: dict[tuple[int, int], int] = {}
     diag_pos: list[int] = []
     for pos, lab in enumerate(labels):
         if isinstance(lab, MatrixUnit):
-            if not admissible(spec, lab.i, lab.j):
+            if lab not in units:
                 raise SpanError(f"unit {label_str(lab)} is not admissible for {spec.text()}")
             if (lab.i, lab.j) in unit_pos:
                 raise SpanError(f"duplicate unit {label_str(lab)}")

@@ -1,14 +1,18 @@
 """End-to-end command line behaviour, driven in-process through main()."""
+import csv
+import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
 import seaweed.cli
 from seaweed.cli import main
 from seaweed.contact import ContactCertificate, verify_certificate
-from seaweed.standard_form import compositions
+from seaweed.standard_form import Composition, compositions
 
 
 def run(capsys, *argv):
@@ -273,6 +277,30 @@ def test_enumerate_table_format(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["top", "bottom", "dim", "index", "cycles", "paths"]
     assert len(lines) == 5
+
+
+def test_enumerate_rows_follow_text_order(capsys, monkeypatch):
+    # "10" sorts before "1|9" as text, while (10,) follows (1, 9) as a tuple
+    text = {p: Composition(p).text() for p in compositions(10)}
+    monkeypatch.setattr(seaweed.cli, "_census_row", lambda task: (text[task[0]], text[task[1]]))
+    rc, out, _ = run(capsys, "enumerate", "10", "--csv")
+    rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
+    assert rc == 0 and len(rows) == 4**9
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows[-1] == ["9|1", "9|1"]
+
+
+def test_enumerate_csv_bytes_match_a_real_stdout(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seaweed.cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seaweed.cli", "enumerate", "3", "--csv"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    _, out, _ = run(capsys, "enumerate", "3", "--csv")
+    assert proc.returncode == 0 and b"\r\n" in proc.stdout
+    assert proc.stdout == out.encode("utf-8")
 
 
 def test_enumerate_n_out_of_range(capsys):

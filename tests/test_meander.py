@@ -1,5 +1,6 @@
 """Meander construction, components, the 2C + P - 1 index, and renderers."""
 import json
+import random
 import xml.etree.ElementTree as ET
 from math import gcd
 
@@ -114,6 +115,52 @@ def test_cycles_alternate_and_have_even_length():
     for sp in spec_pairs(6):
         for c in components(build_meander(sp)).cycles:
             assert len(c.vertices) % 2 == 0
+
+
+def _random_meander(rng, n):
+    """A valid meander on n vertices; some bottom arcs repeat top arcs."""
+
+    def arcs(pool):
+        ends = rng.sample(pool, 2 * rng.randint(0, len(pool) // 2))
+        return [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+
+    top = arcs(range(1, n + 1))
+    shared = [(v, u) if rng.random() < 0.5 else (u, v) for (u, v) in top if rng.random() < 0.3]
+    free = [v for v in range(1, n + 1) if not any(v in e for e in shared)]
+    bottom = shared + arcs(free)
+    rng.shuffle(bottom)
+    return Meander(n, tuple(top), tuple(bottom))
+
+
+def test_components_presentation_on_random_meanders():
+    rng = random.Random(7)
+    shared_seen = 0
+    for _ in range(3000):
+        m = _random_meander(rng, rng.randint(1, 14))
+        top_of = {u: v for (a, b) in m.top_edges for (u, v) in ((a, b), (b, a))}
+        bottom_of = {u: v for (a, b) in m.bottom_edges for (u, v) in ((a, b), (b, a))}
+        shared_seen += any(top_of.get(u) == v for (u, v) in m.bottom_edges)
+        comps = components(m).components
+        assert sorted(v for c in comps for v in c.vertices) == list(range(1, m.n + 1))
+        mins = [min(c.vertices) for c in comps]
+        assert mins == sorted(mins)
+        for c in comps:
+            vs = c.vertices
+            first = top_of if len(vs) > 1 and top_of.get(vs[0]) == vs[1] else bottom_of
+            sides = (first, bottom_of if first is top_of else top_of)
+            # consecutive vertices are partners on alternate sides
+            for i in range(len(vs) - 1):
+                assert sides[i % 2].get(vs[i]) == vs[i + 1], (m, c)
+            # the side the walk would take after its last vertex
+            after = sides[(len(vs) - 1) % 2]
+            if c.kind == "path":
+                assert vs[0] not in sides[1] and vs[-1] not in after, (m, c)
+                assert vs[0] <= vs[-1]
+            else:
+                assert c.kind == "cycle" and after.get(vs[-1]) == vs[0], (m, c)
+                assert vs[0] == min(vs)
+                assert vs[1] == min(top_of[vs[0]], bottom_of[vs[0]])
+    assert shared_seen > 100
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +301,18 @@ def test_svg_is_well_formed_xml():
             if e.tag.endswith("path") and e.get("fill") == "none"
         ]
         assert len(arcs) == 3  # marker arrowheads are paths too, not counted
+
+
+def test_undirected_svg_and_tikz_are_the_oriented_pictures_without_arrows():
+    for n in range(1, 6):
+        for sp in spec_pairs(n):
+            m = build_meander(sp)
+            svg = render(orient(m), "svg").replace(' marker-end="url(#arr)"', "")
+            svg = "".join(
+                line for line in svg.splitlines(True) if not line.startswith("<defs>")
+            )
+            assert render(m, "svg") == svg
+            assert render(m, "tikz") == render(orient(m), "tikz").replace("[->] ", "")
 
 
 def test_json_round_trip_undirected():

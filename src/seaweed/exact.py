@@ -1,13 +1,17 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on matrices of Fractions.
 
 Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
 lifting happens on integer matrices (each row scaled by its denominator lcm,
 which changes neither rank nor kernel and scales det by a known factor) inside
-the ``_kernels`` backend. ``_clear_denominators`` is the one place in the
-package that turns Fractions into integers and a common denominator. Within
-the library ``RatMatrix`` serves only ``materialize``'s inverse: the integer
-Kirillov and bordered matrices of ``liealg``, and the minors ``contact``
-takes of them, never pass through it.
+the ``_kernels`` backend. ``RatMatrix`` stores every entry, but ``det``
+eliminates on the nonzeros only (``_kernels.det_int`` is sparse fraction-free
+Bareiss with Markowitz pivots), so a sparse determinant costs far less than a
+dense one of the same size; rank, inverse and kernel run dense Bareiss.
+``_clear_denominators`` is the one place in the package that turns Fractions
+into integers and a common denominator. Within the library ``RatMatrix``
+serves only ``materialize``'s inverse: the integer Kirillov and bordered
+matrices of ``liealg``, and the minors ``contact`` takes of them, never pass
+through it.
 """
 from __future__ import annotations
 

@@ -178,7 +178,8 @@ def components(m: Meander) -> ComponentReport:
             if verts[-1] < verts[1]:
                 verts = [v] + verts[:0:-1]
         else:
-            verts = walk(v, bottom_of, top_of)[0][:0:-1] + verts
+            if v in bottom_of:
+                verts = walk(v, bottom_of, top_of)[0][:0:-1] + verts
             if verts[-1] < verts[0]:
                 verts.reverse()
         comps.append(Component("cycle" if closed else "path", tuple(verts)))

@@ -1,7 +1,8 @@
 """Determinant, rank and kernel over exact rationals.
 
-The Bareiss elimination path is checked against a naive cofactor expansion
-defined right here, so the two routes stay independent.
+The Bareiss elimination paths are checked against a naive cofactor expansion
+and a Fraction Gaussian elimination defined right here, so the routes stay
+independent.
 """
 import random
 from fractions import Fraction
@@ -189,6 +190,115 @@ def test_inverse_exists_exactly_when_det_is_nonzero(rows):
             for j in range(n):
                 entry = sum(Fraction(rows[i][k]) * inv.at(k, j) for k in range(n))
                 assert entry == (1 if i == j else 0)
+
+
+# ---------------------------------------------------------------------------
+# sparse determinant kernel
+# ---------------------------------------------------------------------------
+
+def fraction_det(rows):
+    """Gaussian elimination over Fractions, first nonzero entry as pivot."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    d = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            d = -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return d
+
+
+def reference_det(rows):
+    return cofactor_det(rows) if len(rows) <= 6 else fraction_det(rows)
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def sparse_rows(draw, n):
+    """0-4 nonzeros per row, entries in [-3, 3], often on the whole diagonal."""
+    nonzero = small.filter(bool)
+    diagonal = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        entries = st.dictionaries(st.integers(0, n - 1), nonzero, max_size=4 - diagonal)
+        for c, x in draw(entries).items():
+            row[c] = x
+        if diagonal:
+            row[i] = draw(nonzero)
+        rows.append(row)
+    return rows
+
+
+def dense_rows(n):
+    big = st.integers(-(10**6), 10**6)
+    return st.lists(st.lists(big, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def bordered_skew_rows(draw, m):
+    """[[0, v^T], [-v, S]] with S skew, the shape of a bordered Kirillov matrix."""
+    v = draw(st.lists(small, min_size=m, max_size=m))
+    rows = [[0, *v]] + [[-x] + [0] * m for x in v]
+    for _ in range(draw(st.integers(0, 2 * m))):
+        i, j = draw(st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True))
+        x = draw(small)
+        rows[i][j] = x
+        rows[j][i] = -x
+    return rows
+
+
+@st.composite
+def singular_rows(draw, n):
+    """A repeated row or a zero column in a sparse or dense matrix."""
+    rows = draw(st.one_of(sparse_rows(n), dense_rows(n)))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        rows[j] = rows[i][:]
+    else:
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@st.composite
+def det_inputs(draw):
+    """(rows, singular) with a random row and column permutation applied."""
+    rows, singular = draw(
+        st.one_of(
+            st.integers(0, 30).flatmap(sparse_rows).map(lambda r: (r, False)),
+            st.integers(0, 12).flatmap(dense_rows).map(lambda r: (r, False)),
+            st.integers(2, 25).flatmap(bordered_skew_rows).map(lambda r: (r, False)),
+            st.integers(2, 14).flatmap(singular_rows).map(lambda r: (r, True)),
+        )
+    )
+    n = len(rows)
+    rp = draw(st.permutations(range(n)))
+    cp = draw(st.permutations(range(n)))
+    return [[rows[i][j] for j in cp] for i in rp], singular
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_inputs())
+def test_sparse_det_matches_independent_references(case):
+    rows, singular = case
+    snapshot = [r[:] for r in rows]
+    got = pure.det_int(rows)
+    assert got == reference_det(rows)
+    if singular:
+        assert got == 0
+    assert rows == snapshot
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ which changes neither rank nor kernel and scales det by a known factor) inside
 the ``_kernels`` backend. ``RatMatrix`` stores every entry, but ``det``
 eliminates on the nonzeros only (``_kernels.det_int`` is sparse fraction-free
 Bareiss with Markowitz pivots), so a sparse determinant costs far less than a
-dense one of the same size; rank, inverse and kernel run dense Bareiss.
+dense one of the same size. ``rank`` of a skew-symmetric matrix without
+denominators runs the 2 x 2-pivot skew elimination behind
+``_kernels.rank_int``; any other rank, and inverse and kernel, run dense
+Bareiss.
 ``_clear_denominators`` is the one place in the package that turns Fractions
 into integers and a common denominator. Within the library ``RatMatrix``
 serves only ``materialize``'s inverse: the integer Kirillov and bordered

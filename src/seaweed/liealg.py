@@ -253,9 +253,11 @@ def index_randomized(
     dense, so this equals the true index except with negligible probability;
     it is always an upper bound. Per trial, the kernel dimension is computed
     exactly: a mod-p rank that meets the parity floor pins it without bignum
-    work, otherwise exact fraction-free elimination runs. Once any trial hits
-    the floor no later trial can lower the min, so the loop returns early with
-    the same value a full run would produce.
+    work, otherwise the exact rank runs. The exact rank eliminates the skew
+    B_phi with 2 x 2 pivots, fraction-free, its entries Pfaffian minors
+    (``seaweed._kernels.pure``); so does the mod-p rank on the pure backend.
+    Once any trial hits the floor no later trial can lower the min, so the
+    loop returns early with the same value a full run would produce.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -302,6 +302,101 @@ def test_sparse_det_matches_independent_references(case):
 
 
 # ---------------------------------------------------------------------------
+# rank kernels: the skew-symmetric elimination and the embedding
+# ---------------------------------------------------------------------------
+
+MOD_PRIME = 2147483647
+
+
+def fraction_rank(rows):
+    """Gaussian elimination over Fractions: the number of pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a[0]) if a else 0
+    r = 0
+    for c in range(m):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            if f:
+                for j in range(c, m):
+                    a[i][j] -= f * a[r][j]
+        r += 1
+    return r
+
+
+def _random_skew_rows(rng, n):
+    """Entries in [-3, 3] or +-10^6 at a random density, or a low-rank sum of
+    u v^T - v u^T. Sparse u, v leave rows that a pivot step does not touch
+    next to rows that it does, where a rank that is not full exposes any
+    update that is not a congruence."""
+    a = [[0] * n for _ in range(n)]
+    kind = rng.choice(["small", "big", "low"])
+    density = rng.random() / (2 if kind == "low" else 1)
+
+    def entry(bound):
+        return rng.randint(-bound, bound) if rng.random() < density else 0
+
+    if kind == "low":
+        for _ in range(rng.randint(2, max(2, n // 3))):
+            u = [entry(9) for _ in range(n)]
+            v = [entry(9) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    a[i][j] += u[i] * v[j] - v[i] * u[j]
+    else:
+        bound = 3 if kind == "small" else 10**6
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = entry(bound)
+                a[j][i] = -a[i][j]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[a[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def rank_inputs(draw):
+    """(rows, skew): skew matrices of size 0-30 under a symmetric permutation,
+    near-skew ones (one entry off, or a nonzero diagonal) and rectangular
+    ones, half of them of low rank."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["skew", "skew", "near", "rect"]))
+    if kind == "rect":
+        r, c = rng.sample(range(1, 13), 2)
+        inner = rng.randint(1, min(r, c)) if rng.random() < 0.5 else None
+        if inner is None:
+            bound = rng.choice([3, 10**6])
+            rows = [[rng.randint(-bound, bound) * (rng.random() < 0.5) for _ in range(c)]
+                    for _ in range(r)]
+        else:
+            b = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(r)]
+            d = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(inner)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*d)] for row in b]
+        return rows, False
+    rows = _random_skew_rows(rng, rng.randint(0 if kind == "skew" else 1, 30))
+    if kind == "near":
+        i = rng.randrange(len(rows))
+        j = i if rng.random() < 0.5 else rng.randrange(len(rows))
+        rows[i][j] += rng.choice([-1, 1]) * rng.randint(1, 10**6)
+    return rows, kind == "skew"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_inputs())
+def test_rank_kernels_match_fraction_rank(case):
+    rows, skew = case
+    snapshot = [r[:] for r in rows]
+    assert pure._is_skew(rows) == skew
+    expected = fraction_rank(rows)
+    assert pure.rank_int(rows) == expected
+    assert pure.rank_mod(rows, MOD_PRIME) == expected
+    assert rows == snapshot
+
+
+# ---------------------------------------------------------------------------
 # backend parity
 # ---------------------------------------------------------------------------
 

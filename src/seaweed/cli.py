@@ -171,15 +171,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _census_row(
-    task: tuple[tuple[int, ...], tuple[int, ...], bool, int | None]
+    task: tuple[Composition, Composition, str, str, bool, int | None]
 ) -> tuple[str, ...]:
-    top, bottom, classify, index_filter = task
-    spec = SeaweedSpec(Composition(top), Composition(bottom))
+    top, bottom, top_text, bottom_text, classify, index_filter = task
+    spec = SeaweedSpec(top, bottom)
     rep = components(build_meander(spec))
     idx = rep.index
     row = [
-        spec.top.text(),
-        spec.bottom.text(),
+        top_text,
+        bottom_text,
         str(seaweed_dim(spec)),
         str(idx),
         str(rep.C),
@@ -199,16 +199,36 @@ def _census_row(
     return tuple(row)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """Census rows in (top, bottom) text order. CSV rows stream to stdout as
     they are computed, so a row that raises leaves the earlier rows on stdout;
-    the table collects its rows for the column widths."""
+    the table collects its rows for the column widths.
+
+    Each of the 2^(n-1) compositions is built once, with its text, and every
+    row shares those objects (and so their cached arcs). ``--jobs`` must be at
+    least 1; at most as many workers start as there are usable CPUs, and one
+    worker runs in process. The output is the same for any worker count."""
     n = args.n
     if not 1 <= n <= 12:
         print("seaweed: n must be between 1 and 12", file=sys.stderr)
         return 2
-    parts = sorted(compositions(n), key=lambda p: Composition(p).text())  # "10" < "1|9"
-    tasks = ((t, b, args.classify, args.index_filter) for t in parts for b in parts)
+    if args.jobs < 1:
+        print(f"seaweed: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    workers = min(args.jobs, _usable_cpus())
+    comps = sorted((c.text(), c) for c in map(Composition, compositions(n)))  # "10" < "1|9"
+    tasks = (
+        (t, b, t_text, b_text, args.classify, args.index_filter)
+        for t_text, t in comps
+        for b_text, b in comps
+    )
     header = ["top", "bottom", "dim", "index", "cycles", "paths"]
     if args.classify:
         header.append("case")
@@ -223,7 +243,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 failures += args.index_filter == 1 and r[-1] != "yes"
                 yield r
 
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         rows = kept(pool.map(_census_row, tasks, chunksize=64) if pool else map(_census_row, tasks))
         if args.csv:
             writer = csv.writer(sys.stdout)

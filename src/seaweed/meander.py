@@ -1,16 +1,17 @@
 """Meanders: arc diagrams whose topology computes the seaweed index.
 
 Each composition block contributes nested arcs pairing its outermost vertices
-inward; top arcs live above the vertex line, bottom arcs below. Since every
-vertex meets at most one top and one bottom arc, components are alternating
-paths and cycles, and the index is 2C + P - 1. The same pair appearing on both
-sides is kept as two distinct edges (a 2-cycle), which is what makes the fully
-parabolic n/n case come out right.
+inward (``Composition.arcs``); top arcs live above the vertex line, bottom arcs
+below. Since every vertex meets at most one top and one bottom arc, components
+are alternating paths and cycles, and the index is 2C + P - 1. The same pair
+appearing on both sides is kept as two distinct edges (a 2-cycle), which is
+what makes the fully parabolic n/n case come out right. ``components`` walks
+two partner lists indexed by vertex, 0 meaning no arc on that side.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .standard_form import SeaweedSpec
@@ -41,7 +42,19 @@ class Meander:
     bottom_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        """Each side needs its 2 * len(side) endpoints distinct and in [1, n].
+
+        Distinct endpoints means no u == v and no vertex on two arcs of one
+        side, so one set per side decides; only a rejected side runs the
+        per-edge loop, which names the first bad edge."""
+        n = self.n
         for side in (self.top_edges, self.bottom_edges):
+            ends: set[int] = set()
+            for (u, v) in side:
+                ends.add(u)
+                ends.add(v)
+            if len(ends) == 2 * len(side) and (not ends or 1 <= min(ends) and max(ends) <= n):
+                continue
             touched: set[int] = set()
             for (u, v) in side:
                 if not (1 <= u <= self.n and 1 <= v <= self.n) or u == v:
@@ -80,6 +93,11 @@ class Component:
 @dataclass(frozen=True)
 class ComponentReport:
     components: tuple[Component, ...]
+    # cycles, counted once; P and index derive from the count
+    C: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "C", sum(c.kind == "cycle" for c in self.components))
 
     @property
     def cycles(self) -> list[Component]:
@@ -90,12 +108,8 @@ class ComponentReport:
         return [c for c in self.components if c.kind == "path"]
 
     @property
-    def C(self) -> int:
-        return len(self.cycles)
-
-    @property
     def P(self) -> int:
-        return len(self.paths)
+        return len(self.components) - self.C
 
     @property
     def index(self) -> int:
@@ -107,26 +121,9 @@ class ComponentReport:
 # construction
 # ---------------------------------------------------------------------------
 
-def _block_arcs(parts: tuple[int, ...]) -> list[Edge]:
-    arcs = []
-    start = 1
-    for p in parts:
-        lo, hi = start, start + p - 1
-        while lo < hi:
-            arcs.append((lo, hi))
-            lo += 1
-            hi -= 1
-        start += p
-    return arcs
-
-
 def build_meander(spec: SeaweedSpec) -> Meander:
     """Arcs pair each block's outermost vertices inward; odd middles stay bare."""
-    return Meander(
-        spec.n,
-        tuple(_block_arcs(spec.top.parts)),
-        tuple(_block_arcs(spec.bottom.parts)),
-    )
+    return Meander(spec.n, spec.top.arcs, spec.bottom.arcs)
 
 
 def orient(m: Meander) -> DirectedMeander:
@@ -147,43 +144,58 @@ def components(m: Meander) -> ComponentReport:
     Deterministic presentation: components ordered by smallest vertex; a path
     is listed from its smaller endpoint; a cycle starts at its smallest vertex
     and heads toward the smaller of that vertex's two partners.
+
+    ``top[v]`` and ``bottom[v]`` are v's partners on each side, 0 for none.
+    From each unseen v the walk leaves along the top and alternates sides; it
+    closes only by coming back to v along the bottom. An open walk is a path,
+    and its part beyond v's bottom arc, walked bottom first, is prepended.
     """
-    top_of: dict[int, int] = {}
+    n = m.n
+    top = [0] * (n + 1)
     for (u, v) in m.top_edges:
-        top_of[u] = v
-        top_of[v] = u
-    bottom_of: dict[int, int] = {}
+        top[u] = v
+        top[v] = u
+    bottom = [0] * (n + 1)
     for (u, v) in m.bottom_edges:
-        bottom_of[u] = v
-        bottom_of[v] = u
+        bottom[u] = v
+        bottom[v] = u
 
-    def walk(start: int, side: dict[int, int], other: dict[int, int]) -> tuple[list[int], bool]:
-        """Follow side, other, side, ... from start to a bare end or back to start."""
-        seq = [start]
-        cur = side.get(start)
-        while cur is not None and cur != start:
-            seq.append(cur)
-            side, other = other, side
-            cur = side.get(cur)
-        return seq, cur is not None
-
-    seen: set[int] = set()
+    seen = [False] * (n + 1)
     comps: list[Component] = []
-    for v in range(1, m.n + 1):
-        if v in seen:
+    for v in range(1, n + 1):
+        if seen[v]:
             continue
-        verts, closed = walk(v, top_of, bottom_of)
+        verts = [v]
+        cur = top[v]
+        while cur:
+            verts.append(cur)
+            cur = bottom[cur]
+            if not cur or cur == v:
+                break
+            verts.append(cur)
+            cur = top[cur]
+        closed = cur == v
         if closed:
-            # the walk left v along the top and came back along the bottom
             if verts[-1] < verts[1]:
                 verts = [v] + verts[:0:-1]
         else:
-            if v in bottom_of:
-                verts = walk(v, bottom_of, top_of)[0][:0:-1] + verts
+            cur = bottom[v]
+            if cur:
+                back = []
+                while cur:
+                    back.append(cur)
+                    cur = top[cur]
+                    if not cur:
+                        break
+                    back.append(cur)
+                    cur = bottom[cur]
+                back.reverse()
+                verts = back + verts
             if verts[-1] < verts[0]:
                 verts.reverse()
+        for u in verts:
+            seen[u] = True
         comps.append(Component("cycle" if closed else "path", tuple(verts)))
-        seen.update(verts)
     return ComponentReport(tuple(comps))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -59,7 +60,7 @@ class Composition:
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.parts)
 
@@ -71,6 +72,20 @@ class Composition:
             out.append((start, start + p - 1))
             start += p
         return out
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The meander arcs of this side: each block pairs its outermost
+        vertices and works inward, (first, last), (first+1, last-1), ..., so
+        an odd block leaves its middle vertex bare. Computed at most once per
+        object (eq, hash and repr still see only ``parts``)."""
+        arcs = []
+        for lo, hi in self.blocks():
+            while lo < hi:
+                arcs.append((lo, hi))
+                lo += 1
+                hi -= 1
+        return tuple(arcs)
 
     def block_of(self) -> dict[int, int]:
         """vertex -> index of the block containing it."""
@@ -151,11 +166,12 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def spec_pairs(n: int) -> Iterator[SeaweedSpec]:
-    """All 4^(n-1) seaweed specs of size n, in deterministic order."""
-    tops = list(compositions(n))
+    """All 4^(n-1) seaweed specs of size n, in deterministic order. The specs
+    share one Composition per composition, so its cached arcs serve them all."""
+    tops = [Composition(t) for t in compositions(n)]
     for t in tops:
         for b in tops:
-            yield SeaweedSpec(Composition(t), Composition(b))
+            yield SeaweedSpec(t, b)
 
 
 # ---------------------------------------------------------------------------

@@ -263,12 +263,71 @@ def test_enumerate_filter_verifies(capsys):
     assert err == "verification failures: 0\n"
 
 
-def test_enumerate_parallel_matches_serial(capsys):
-    rc1, serial, _ = run(capsys, "enumerate", "4", "--index-filter", "1", "--csv")
-    rc2, parallel, _ = run(
-        capsys, "enumerate", "4", "--index-filter", "1", "--csv", "--jobs", "2"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("4", "--index-filter", "1", "--csv"),
+        ("5", "--csv"),
+        ("5", "--classify", "--csv"),
+    ],
+    ids=["filter1-n4", "csv-n5", "classify-n5"],
+)
+def test_enumerate_parallel_matches_serial(capsys, argv):
+    # the tasks carry Composition objects, with their cached arcs, to the workers
+    rc1, serial, _ = run(capsys, "enumerate", *argv)
+    rc2, parallel, _ = run(capsys, "enumerate", *argv, "--jobs", "2")
     assert rc1 == rc2 == 0 and serial == parallel
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    monkeypatch.setattr(_SerialPool, "started", [])
+    monkeypatch.setattr(seaweed.cli, "ProcessPoolExecutor", _SerialPool)
+    return _SerialPool
+
+
+def test_enumerate_jobs_start_at_most_the_usable_cpus(capsys, monkeypatch, serial_pool):
+    rc, expected, _ = run(capsys, "enumerate", "4", "--csv")
+    assert rc == 0 and serial_pool.started == []
+    usable = seaweed.cli._usable_cpus()
+    assert 1 <= usable <= (os.cpu_count() or 1)
+    rc, out, _ = run(capsys, "enumerate", "4", "--csv", "--jobs", "100000")
+    assert rc == 0 and out == expected
+    assert serial_pool.started == ([usable] if usable > 1 else [])
+    monkeypatch.setattr(seaweed.cli, "_usable_cpus", lambda: 4)
+    for jobs, workers in (("100000", 4), ("3", 3), ("2", 2)):
+        serial_pool.started.clear()
+        rc, out, _ = run(capsys, "enumerate", "4", "--csv", "--jobs", jobs)
+        assert rc == 0 and out == expected and serial_pool.started == [workers]
+    monkeypatch.setattr(seaweed.cli, "_usable_cpus", lambda: 1)
+    serial_pool.started.clear()
+    rc, out, _ = run(capsys, "enumerate", "4", "--csv", "--jobs", "100000")
+    assert rc == 0 and out == expected and serial_pool.started == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_enumerate_rejects_jobs_below_one(capsys, serial_pool, jobs):
+    rc, out, err = run(capsys, "enumerate", "3", "--csv", "--jobs", jobs)
+    assert rc == 2 and out == "" and serial_pool.started == []
+    assert err == f"seaweed: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_enumerate_table_format(capsys):
@@ -282,7 +341,9 @@ def test_enumerate_table_format(capsys):
 def test_enumerate_rows_follow_text_order(capsys, monkeypatch):
     # "10" sorts before "1|9" as text, while (10,) follows (1, 9) as a tuple
     text = {p: Composition(p).text() for p in compositions(10)}
-    monkeypatch.setattr(seaweed.cli, "_census_row", lambda task: (text[task[0]], text[task[1]]))
+    monkeypatch.setattr(
+        seaweed.cli, "_census_row", lambda task: (text[task[0].parts], text[task[1].parts])
+    )
     rc, out, _ = run(capsys, "enumerate", "10", "--csv")
     rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
     assert rc == 0 and len(rows) == 4**9

@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seaweed.liealg import index_randomized
 from seaweed.meander import (
@@ -54,6 +56,76 @@ def test_meander_rejects_reused_vertex():
         Meander(3, ((1, 2), (2, 3)), ())
     with pytest.raises(ValueError):
         Meander(3, ((1, 4),), ())
+
+
+def _per_edge_check(n, side):
+    """The per-edge validation loop Meander ran on every side before its
+    one-set check; kept here as the reference."""
+    touched = set()
+    for (u, v) in side:
+        if not (1 <= u <= n and 1 <= v <= n) or u == v:
+            raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+        if u in touched or v in touched:
+            raise ValueError(f"vertex reused on one side at ({u}, {v})")
+        touched.update((u, v))
+
+
+@st.composite
+def _sides(draw, n):
+    """A valid side on n vertices, then at most two of: an endpoint 0 or n+1,
+    an arc (u, u), an arc reusing a vertex, a repeated (maybe reversed) pair."""
+    verts = draw(st.permutations(range(1, n + 1)))
+    side = [(verts[i], verts[i + 1]) for i in range(0, 2 * draw(st.integers(0, n // 2)), 2)]
+    for kind in draw(st.lists(st.sampled_from(["zero", "high", "loop", "reuse", "repeat"]), max_size=2)):
+        at = draw(st.integers(0, len(side)))
+        if kind in ("zero", "high") and side:
+            i = draw(st.integers(0, len(side) - 1))
+            bad = 0 if kind == "zero" else n + 1
+            side[i] = (bad, side[i][1]) if draw(st.booleans()) else (side[i][0], bad)
+        elif kind == "loop":
+            u = draw(st.integers(1, n))
+            side.insert(at, (u, u))
+        elif kind == "reuse" and side:
+            old = draw(st.sampled_from(side))
+            pair = (draw(st.sampled_from(old)), draw(st.integers(1, n)))
+            side.insert(at, pair[::-1] if draw(st.booleans()) else pair)
+        elif kind == "repeat" and side:
+            old = draw(st.sampled_from(side))
+            side.insert(at, old[::-1] if draw(st.booleans()) else old)
+    return tuple(side)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    top = draw(_sides(n))
+    # half the time the bottom repeats some top arcs, as a 2-cycle does
+    if top and draw(st.booleans()):
+        shared = tuple(e for e in top if draw(st.booleans()))
+        used = {v for e in shared for v in e}
+        free = [v for v in range(1, n + 1) if v not in used]
+        rest = draw(st.permutations(free))
+        k = draw(st.integers(0, len(free) // 2))
+        bottom = shared + tuple((rest[2 * i], rest[2 * i + 1]) for i in range(k))
+    else:
+        bottom = draw(_sides(n))
+    return n, top, bottom
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_lists())
+def test_meander_accepts_exactly_what_the_per_edge_loop_accepts(case):
+    n, top, bottom = case
+    try:
+        _per_edge_check(n, top)
+        _per_edge_check(n, bottom)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Meander(n, top, bottom)
+        assert str(info.value) == str(exc)
+    else:
+        m = Meander(n, top, bottom)
+        assert (m.top_edges, m.bottom_edges) == (top, bottom)
 
 
 def test_orientation_convention():

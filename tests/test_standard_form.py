@@ -1,4 +1,5 @@
 """Compositions, specs, admissibility, bases, and structure constants."""
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -42,6 +43,11 @@ def test_composition_basics():
     assert c.blocks() == [(1, 2), (3, 8)]
     assert c.block_of()[3] == 1
     assert c.text() == "2|6"
+    fresh = Composition((2, 6))
+    assert c.arcs == ((1, 2), (3, 8), (4, 7), (5, 6)) and c.arcs is c.arcs
+    # the cached arcs stay out of eq, hash and repr, and survive pickling
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+    assert pickle.loads(pickle.dumps(c)).arcs == c.arcs
 
 
 def test_composition_rejects_garbage():

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .contact import (
     DEFAULT_K_MAX,
+    MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
     SynthesisError,
@@ -159,9 +160,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = ContactCertificate.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        # a fraction such as "1/0" raises ZeroDivisionError
         print(f"seaweed: cannot read certificate: {exc}", file=sys.stderr)
         return 2
+    dim = seaweed_dim(cert.spec)
+    if dim > MAX_VERIFY_DIM:
+        print(
+            f"seaweed: {cert.spec.text()} has dimension {dim}, "
+            f"above the verification limit {MAX_VERIFY_DIM}",
+            file=sys.stderr,
+        )
     if not verify_certificate(cert):
         print("verification FAILED", file=sys.stderr)
         return 1

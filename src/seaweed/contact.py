@@ -25,10 +25,9 @@ from .liealg import (
     LieAlgebra,
     ParityError,
     _bordered_det,
-    _scaled_form,
+    _wedge_coefficient,
     bhat_det,
     squared_identity_holds,
-    wedge_volume_coefficient,
 )
 from .meander import build_meander, components, orient
 from .meander import index as meander_index
@@ -40,16 +39,16 @@ from .standard_form import (
     MatrixUnit,
     SeaweedSpec,
     admissible,
-    dual_matrix_to_coeffs,
+    check_basis,
     label_from_json,
     label_to_json,
-    materialize,
     seaweed_dim,
     standard_basis,
 )
 
 __all__ = [
     "DEFAULT_K_MAX",
+    "MAX_VERIFY_DIM",
     "OneForm",
     "ContactCertificate",
     "NotIndexOneError",
@@ -65,6 +64,14 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 64
+
+# Largest seaweed dimension verify_certificate accepts. It checks this on
+# seaweed_dim(spec) before building any basis or matrix, so an untrusted
+# certificate cannot make it allocate a dim x dim matrix of any size. The
+# library's own certificates stay far below it: enumerate's n <= 12 means
+# dim <= 143, and the largest spec the tests and benchmarks verify,
+# 2|18 / 20, has dim 363.
+MAX_VERIFY_DIM = 1024
 
 
 class NotIndexOneError(ValueError):
@@ -107,7 +114,9 @@ class OneForm:
     """phi(M) = sum W_ij M_ij for a sparse rational matrix W.
 
     Entries are ((i, j), coefficient) pairs, 1-based, sorted, zero-free.
-    Evaluation against a concrete basis goes through dual_matrix_to_coeffs.
+    A checked seaweed basis evaluates it by trace pairing
+    (``SeaweedBasis.scaled_form``); dual_matrix_to_coeffs gives its
+    coordinates against a basis for a ``LieAlgebra``.
     """
 
     n: int
@@ -263,12 +272,12 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     basis = tuple(
         H if isinstance(b, DiagDiff) and b.i == 1 else b for b in standard_basis(spec)
     )
-    L = materialize(spec, basis)
+    checked = check_basis(spec, basis)
 
     fbar = regular_form_from_meander(spec)
     # ker B_phi = span(H) iff H's column (hence row: B_phi is skew) is 0 and det C' != 0
     h = basis.index(H)
-    _, sB, _ = _scaled_form(L, dual_matrix_to_coeffs(spec, basis, fbar.as_dict()))
+    _, sB, _ = checked.scaled_form(fbar.as_dict())
     if any(row[h] for row in sB) or _kernels.det_int(_drop(sB, h)) == 0:
         raise TheoremViolationError(
             f"regular form of {spec.text()} does not kill exactly the H line"
@@ -282,8 +291,7 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
         if phi_H == 0:
             continue
         form = fbar.plus(_partial_diag_dual(n, i))
-        coeffs = dual_matrix_to_coeffs(spec, basis, form.as_dict())
-        dval = bhat_det(L, coeffs)
+        dval = bhat_det(checked, form.as_dict())
         if dval != 0:
             aux = {
                 "H": [str(x) for x in hvals],
@@ -326,12 +334,12 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
             f"{spec.text()}: {rep.C} cycles + {rep.P} paths, need exactly one cycle"
         )
     n = spec.n
-    basis = tuple(standard_basis(spec))
-    L = materialize(spec, basis)
+    checked = check_basis(spec)
+    basis = checked.labels
 
     if n == 2:
         form = OneForm.from_terms(2, [((1, 2), Fraction(1)), ((2, 1), Fraction(1))])
-        dval = bhat_det(L, dual_matrix_to_coeffs(spec, basis, form.as_dict()))
+        dval = bhat_det(checked, form.as_dict())
         if dval == 0:
             raise TheoremViolationError("e(1,2)* + e(2,1)* failed on 2 / 2")
         return ContactCertificate(
@@ -376,7 +384,7 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
         form = fbar.plus(
             OneForm.from_terms(n, [((center.i, center.j), Fraction(k))])
         )
-        dval = bhat_det(L, dual_matrix_to_coeffs(spec, basis, form.as_dict()))
+        dval = bhat_det(checked, form.as_dict())
         if dval != 0:
             aux = {
                 "removed_edge": [p, q],
@@ -417,22 +425,28 @@ def synthesize_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> Contact
 def verify_certificate(cert: ContactCertificate) -> bool:
     """Re-derive the determinant from the certificate's own data.
 
-    Rebuilds the algebra from spec and basis, re-evaluates the form, and
-    recomputes the bordered determinant; it must be nonzero and equal the
-    stored value. TwoPaths certificates additionally must satisfy the
-    factorization det = (phi(H))^2 * det phi(C') with C' the Kirillov matrix
-    minus H's row and column. Small algebras (dim <= 11) are cross-checked
-    against the exterior-algebra volume coefficient, which determines the
-    determinant up to the square relation (k!)^2 det = wedge^2. Any mismatch
-    or malformed field returns False rather than raising.
+    A spec of dimension above MAX_VERIFY_DIM is rejected before anything is
+    built. Otherwise the basis must pass ``check_basis`` (a full basis of
+    that seaweed), and the form, read as the dual matrix W, is evaluated by
+    trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the gl(n) bracket
+    rules, with no structure table. The bordered determinant of that one
+    evaluation must be nonzero and equal the stored value. TwoPaths
+    certificates additionally must satisfy the factorization
+    det = (phi(H))^2 * det phi(C') with C' the Kirillov matrix minus H's row
+    and column. Small algebras (dim <= 11) are cross-checked against the
+    exterior-algebra volume coefficient, which determines the determinant up
+    to the square relation (k!)^2 det = wedge^2. Any mismatch or malformed
+    field returns False rather than raising.
     """
     try:
         spec = cert.spec
-        L = materialize(spec, cert.basis)
-        coeffs = dual_matrix_to_coeffs(spec, cert.basis, cert.form.as_dict())
-        # one evaluation serves the determinant and the TwoPaths minor; in an
-        # even dimension the bordered matrix is odd-sized skew, so det is 0
-        sphi, sB, s = _scaled_form(L, coeffs)
+        if seaweed_dim(spec) > MAX_VERIFY_DIM:
+            return False
+        checked = check_basis(spec, cert.basis)
+        # one evaluation serves the determinant, the TwoPaths minor and the
+        # wedge; in an even dimension the bordered matrix is odd-sized skew,
+        # so det is 0
+        sphi, sB, s = checked.scaled_form(cert.form.as_dict())
         dval = _bordered_det(sphi, sB, s)
         if dval == 0 or dval != cert.det_value:
             return False
@@ -443,11 +457,11 @@ def verify_certificate(cert: ContactCertificate) -> bool:
             h = hpos[0]
             # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
             minor = _kernels.det_int(_drop(sB, h))
-            if Fraction(sphi[h] ** 2 * minor, s ** (L.dim + 1)) != dval:
+            if Fraction(sphi[h] ** 2 * minor, s ** (checked.dim + 1)) != dval:
                 return False
-        if L.dim <= 11:
-            wedge = wedge_volume_coefficient(L, coeffs)
-            if not squared_identity_holds(L.dim, dval, wedge):
+        if checked.dim <= 11:
+            wedge = _wedge_coefficient(sphi, sB, s)
+            if not squared_identity_holds(checked.dim, dval, wedge):
                 return False
         return True
     except Exception:

@@ -12,9 +12,10 @@ denominators runs the 2 x 2-pivot skew elimination behind
 Bareiss.
 ``_clear_denominators`` is the one place in the package that turns Fractions
 into integers and a common denominator. Within the library ``RatMatrix``
-serves only ``materialize``'s inverse: the integer Kirillov and bordered
-matrices of ``liealg``, and the minors ``contact`` takes of them, never pass
-through it.
+serves only ``materialize``'s inverse, which the index oracle and the other
+structure-table users reach: the integer Kirillov and bordered matrices of
+``liealg``, and the contact searches and certificate verification, which
+evaluate B_phi by trace pairing on a checked basis, never pass through it.
 """
 from __future__ import annotations
 

@@ -134,6 +134,15 @@ class LieAlgebra:
         object.__setattr__(self, "_int_cache", (den, table))
         return den, table
 
+    def scaled_form(self, phi: CoeffForm) -> tuple[list[int], list[list[int]], int]:
+        """(s * phi, s * B_phi, s) in integers, where s is the table's global
+        denominator times the lcm of phi's denominators."""
+        if len(phi) != self.dim:
+            raise ValueError("form length != dim")
+        phi_ints, phi_den = _clear_denominators(phi.coefficients)
+        den, _ = self._integer_table()
+        return [den * v for v in phi_ints], _kirillov_int_rows(self, phi_ints), den * phi_den
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -214,7 +223,7 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 def kirillov_matrix(L: LieAlgebra, phi: CoeffForm) -> RatMatrix:
     """The skew matrix [B_phi] with (i, j) entry phi([E_i, E_j]), read off
     the integer evaluation bhat_det uses with its scale divided back out."""
-    _, rows, s = _scaled_form(L, phi)
+    _, rows, s = L.scaled_form(phi)
     return RatMatrix.from_rows([Fraction(v, s) for v in row] for row in rows)
 
 
@@ -232,16 +241,6 @@ def _kirillov_int_rows(L: LieAlgebra, phi_ints: Sequence[int]) -> list[list[int]
             rows[i][j] = v
             rows[j][i] = -v
     return rows
-
-
-def _scaled_form(L: LieAlgebra, phi: CoeffForm) -> tuple[list[int], list[list[int]], int]:
-    """(s * phi, s * B_phi, s) in integers, where s is the table's global
-    denominator times the lcm of phi's denominators."""
-    if len(phi) != L.dim:
-        raise ValueError("form length != dim")
-    phi_ints, phi_den = _clear_denominators(phi.coefficients)
-    den, _ = L._integer_table()
-    return [den * v for v in phi_ints], _kirillov_int_rows(L, phi_ints), den * phi_den
 
 
 def index_randomized(
@@ -281,17 +280,24 @@ def index_randomized(
     return best
 
 
-def bhat_det(L: LieAlgebra, phi: CoeffForm) -> Fraction:
+def bhat_det(L, phi) -> Fraction:
     """det of the bordered matrix [[0, phi^T], [-phi, B_phi]].
 
     Defined for odd-dimensional algebras (the matrix is even-sized skew, so
     the determinant is a perfect square and vanishes exactly when phi fails
     to be a contact form). It is assembled once, in integers, as s times
     the bordered matrix, whose determinant is s^(d+1) times the answer.
+
+    Either presentation of an algebra works: a ``LieAlgebra`` with phi as a
+    ``CoeffForm`` (its structure table contracted with phi), or a checked
+    seaweed basis (``standard_form.check_basis``) with phi as a dual matrix
+    {(i, j): W_ij} (B_phi by trace pairing, with no table). Each has ``dim``
+    and ``scaled_form(phi)``, the integer evaluation (s*phi, s*B_phi, s).
+    This is the one bordered-determinant entry of both contact searches.
     """
     if L.dim % 2 == 0:
         raise ParityError(f"bhat_det needs odd dimension, got {L.dim}")
-    return _bordered_det(*_scaled_form(L, phi))
+    return _bordered_det(*L.scaled_form(phi))
 
 
 def _bordered_det(sphi: Sequence[int], sB: Sequence[Sequence[int]], s: int) -> Fraction:
@@ -309,18 +315,23 @@ def wedge_volume_coefficient(L: LieAlgebra, phi: CoeffForm) -> Fraction:
     Direct exterior-algebra expansion over bitmask multivectors, with the sign
     convention dphi(E_i, E_j) = -phi([E_i, E_j]). Multilinearity lets the whole
     computation run on integers: it reads s * phi and s * B_phi, the same
-    integer evaluation bhat_det uses, and divides s^(k+1) back out at the end.
-    The result is (-1)^k k! Pf(Bhat_phi), hence (k!)^2 bhat_det(L, phi) =
-    wedge^2 (see squared_identity_holds).
+    integer evaluation bhat_det uses, and divides s^(k+1) back out at the end
+    (``_wedge_coefficient``). The result is (-1)^k k! Pf(Bhat_phi), hence
+    (k!)^2 bhat_det(L, phi) = wedge^2 (see squared_identity_holds).
     """
-    d = L.dim
+    return _wedge_coefficient(*L.scaled_form(phi))
+
+
+def _wedge_coefficient(sphi: Sequence[int], sB: Sequence[Sequence[int]], scale: int) -> Fraction:
+    """wedge_volume_coefficient from a one-form's integer evaluation
+    (s*phi, s*B_phi, s), whichever presentation produced it."""
+    d = len(sphi)
     if d % 2 == 0:
         raise ParityError(f"wedge oracle needs odd dimension, got {d}")
     if d > WEDGE_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the exterior-algebra cap {WEDGE_DIM_CAP}")
     k = (d - 1) // 2
 
-    sphi, sB, scale = _scaled_form(L, phi)
     two: dict[int, int] = {}
     for i in range(d):
         for j in range(i + 1, d):

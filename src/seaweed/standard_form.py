@@ -4,8 +4,10 @@ A seaweed is cut out of sl(n) by two compositions of n: the top composition
 owns the lower triangle (block-diagonal lower part), the bottom composition
 owns the upper triangle. This module knows which matrix locations are
 admissible, builds the standard basis (diagonal differences first, then the
-admissible units in row-major order), and materializes the result as a
-``LieAlgebra`` with exact structure constants.
+admissible units in row-major order), checks that a given basis is a full one
+(``check_basis``), evaluates one-forms given as dual matrices on such a basis
+by trace pairing, and materializes the result as a ``LieAlgebra`` with exact
+structure constants.
 
 Indices are 1-based throughout, matching the e_{i,j} notation in printed
 output; positions into a basis list are plain 0-based Python indices.
@@ -18,7 +20,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence, Union
 
-from .exact import RatMatrix, inverse
+from . import _kernels
+from .exact import RatMatrix, _clear_denominators, inverse
 from .liealg import CoeffForm, LieAlgebra
 
 __all__ = [
@@ -32,6 +35,8 @@ __all__ = [
     "admissible",
     "standard_basis",
     "seaweed_dim",
+    "SeaweedBasis",
+    "check_basis",
     "materialize",
     "dual_matrix_to_coeffs",
     "label_str",
@@ -284,7 +289,7 @@ def seaweed_dim(spec: SeaweedSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# materialization
+# checked bases
 # ---------------------------------------------------------------------------
 
 def _diagonal(label: BasisLabel, n: int) -> Sequence[Fraction | int] | None:
@@ -302,16 +307,139 @@ def _diagonal(label: BasisLabel, n: int) -> Sequence[Fraction | int] | None:
     return label.entries
 
 
+def _h_coordinates(entries: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """A traceless diagonal in h(1)..h(n-1): its partial sums."""
+    return list(accumulate(entries))[:-1]
+
+
+@dataclass(frozen=True, eq=False)
+class SeaweedBasis:
+    """A full basis of a seaweed, checked by ``check_basis``.
+
+    ``units`` maps each unit's (i, j) to its position; ``diagonals`` holds
+    (position, entries) of each diagonal label, the entries scaled to integers
+    by the common denominator ``diagonal_den``. It evaluates one-forms given
+    as dual matrices, the trace-form reading of gl(n)* that Dergachev and
+    Kirillov use for seaweeds (2000), without a structure table.
+    """
+
+    spec: SeaweedSpec
+    labels: tuple[BasisLabel, ...]
+    units: Mapping[tuple[int, int], int]
+    diagonals: tuple[tuple[int, tuple[int, ...]], ...]
+    diagonal_den: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def scaled_form(
+        self, entries: Mapping[tuple[int, int], Fraction | int]
+    ) -> tuple[list[int], list[list[int]], int]:
+        """(s * phi, s * B_phi, s) in integers for phi(M) = sum W_ij M_ij,
+        W given by its ``entries`` (absent ones are 0); s is W's denominator lcm times
+        ``diagonal_den``.
+
+        B_phi(X, Y) = phi([X, Y]) comes from the gl(n) bracket rules alone:
+        [e(a,b), e(b,c)] = e(a,c), so W_ac reaches every such pair of units
+        (for c = a, [e(a,b), e(b,a)] = e(a,a) - e(b,b) gets W_aa here and
+        -W_bb from the pair (e(b,a), e(a,b))); [D, e(a,c)] = (D_a - D_c) e(a,c);
+        two diagonals commute. The work is O(nnz(W) * n) besides the rows.
+        """
+        n = self.spec.n
+        for (i, j) in entries:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"dual matrix entry ({i},{j}) out of range 1..{n}")
+        w_ints, w_den = _clear_denominators(map(Fraction, entries.values()))
+        d_den = self.diagonal_den
+        units = self.units
+        d = self.dim
+        sphi = [0] * d
+        rows = [[0] * d for _ in range(d)]
+        for (a, c), w in zip(entries, w_ints):
+            if not w:
+                continue
+            if a == c:
+                for pos, ent in self.diagonals:
+                    sphi[pos] += ent[a - 1] * w
+            elif (a, c) in units:
+                z = units[(a, c)]
+                sphi[z] = d_den * w
+                for pos, ent in self.diagonals:
+                    v = (ent[a - 1] - ent[c - 1]) * w
+                    rows[pos][z] += v
+                    rows[z][pos] -= v
+            v = d_den * w
+            for b in range(1, n + 1):
+                x = units.get((a, b))
+                if x is not None:
+                    y = units.get((b, c))
+                    if y is not None:
+                        rows[x][y] += v
+                        rows[y][x] -= v
+        return sphi, rows, w_den * d_den
+
+
+def check_basis(
+    spec: SeaweedSpec, basis: Sequence[BasisLabel] | None = None
+) -> SeaweedBasis:
+    """The given (or standard) basis of the seaweed, checked to be a full one.
+
+    It needs seaweed_dim(spec) labels, every unit admissible and listed once,
+    and diagonal labels that form a basis of the traceless diagonals (their
+    h-coordinates have a nonzero determinant). Anything else raises
+    SpanError; a label out of range for n raises ValueError.
+    """
+    n = spec.n
+    standard = standard_basis(spec)
+    labels = tuple(standard if basis is None else basis)
+    entries = [_diagonal(lab, n) for lab in labels]
+    dim = len(labels)
+    if dim != seaweed_dim(spec):
+        raise SpanError(
+            f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
+        )
+
+    admissible_units = {(lab.i, lab.j) for lab in standard if isinstance(lab, MatrixUnit)}
+    units: dict[tuple[int, int], int] = {}
+    diag_pos: list[int] = []
+    for pos, lab in enumerate(labels):
+        if isinstance(lab, MatrixUnit):
+            key = (lab.i, lab.j)
+            if key not in admissible_units:
+                raise SpanError(f"unit {label_str(lab)} is not admissible for {spec.text()}")
+            if key in units:
+                raise SpanError(f"duplicate unit {label_str(lab)}")
+            units[key] = pos
+        else:
+            diag_pos.append(pos)
+
+    diag_ints, diag_den = _clear_denominators(x for pos in diag_pos for x in entries[pos])
+    diagonals = tuple(
+        (pos, tuple(diag_ints[r * n : (r + 1) * n])) for r, pos in enumerate(diag_pos)
+    )
+    # the common scale leaves the h-coordinates' determinant zero or nonzero
+    if len(diag_pos) != n - 1 or not _kernels.det_int(
+        [_h_coordinates(ent) for _, ent in diagonals]
+    ):
+        raise SpanError(
+            f"the {len(diag_pos)} diagonal labels are not a basis of the traceless diagonals"
+        )
+    return SeaweedBasis(spec, labels, units, diagonals, diag_den)
+
+
+# ---------------------------------------------------------------------------
+# materialization
+# ---------------------------------------------------------------------------
+
 def materialize(
     spec: SeaweedSpec, basis: Sequence[BasisLabel] | None = None
 ) -> LieAlgebra:
     """Structure constants of the seaweed in the given (or standard) basis.
 
-    A given basis must be a full basis of the seaweed: seaweed_dim(spec)
-    labels, every unit admissible and listed once, and diagonal labels that
-    form a basis of the traceless diagonals. Anything else raises SpanError.
-    Every bracket then follows from three gl(n) rules, with no matrix
-    products:
+    The basis passes ``check_basis`` first, so anything but a full basis of
+    the seaweed raises SpanError. Every bracket then follows from three
+    gl(n) rules, with no matrix products:
 
     - [e(a,b), e(b,c)] = e(a,c) for a != c;
     - [e(a,b), e(b,a)] = e(a,a) - e(b,b) = h(a) + ... + h(b-1) for a < b;
@@ -322,36 +450,16 @@ def materialize(
     h-coordinates are its partial sums.
     """
     n = spec.n
-    standard = standard_basis(spec)
-    labels = list(standard if basis is None else basis)
-    diagonals = [_diagonal(lab, n) for lab in labels]
-    dim = len(labels)
-    if dim != seaweed_dim(spec):
-        raise SpanError(
-            f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
-        )
+    checked = check_basis(spec, basis)
+    dim = checked.dim
+    unit_pos = checked.units
+    diag_pos = [pos for pos, _ in checked.diagonals]
+    diagonals = {pos: _diagonal(checked.labels[pos], n) for pos in diag_pos}
 
-    units = {lab for lab in standard if isinstance(lab, MatrixUnit)}
-    unit_pos: dict[tuple[int, int], int] = {}
-    diag_pos: list[int] = []
-    for pos, lab in enumerate(labels):
-        if isinstance(lab, MatrixUnit):
-            if lab not in units:
-                raise SpanError(f"unit {label_str(lab)} is not admissible for {spec.text()}")
-            if (lab.i, lab.j) in unit_pos:
-                raise SpanError(f"duplicate unit {label_str(lab)}")
-            unit_pos[(lab.i, lab.j)] = pos
-        else:
-            diag_pos.append(pos)
-
-    # column c holds the h-coordinates of the c-th diagonal label; its inverse
-    # exists exactly when the diagonal labels form a basis
-    cols = [list(accumulate(diagonals[pos]))[:-1] for pos in diag_pos]
-    inv = None if len(diag_pos) != n - 1 else inverse(RatMatrix.from_rows(zip(*cols)))
-    if inv is None:
-        raise SpanError(
-            f"the {len(diag_pos)} diagonal labels are not a basis of the traceless diagonals"
-        )
+    # column c holds the h-coordinates of the c-th diagonal label; check_basis
+    # made sure they form a basis, so the inverse exists
+    cols = [_h_coordinates(diagonals[pos]) for pos in diag_pos]
+    inv = inverse(RatMatrix.from_rows(zip(*cols)))
     # h(k) in the diagonal labels: column k of the inverse, without its zeros
     h_in_labels = [
         [(pos, inv.at(r, k)) for r, pos in enumerate(diag_pos) if inv.at(r, k)]
@@ -378,14 +486,14 @@ def materialize(
         for c, y in leaving[b]:
             if c != a:
                 # admissible units are closed under the bracket, and the
-                # count check above means every one of them is listed
+                # count check means every one of them is listed
                 add(x, y, unit_pos[(a, c)], 1)
             elif a < b:
                 for k in range(a - 1, b - 1):
                     for pos, coef in h_in_labels[k]:
                         add(x, y, pos, coef)
 
-    return LieAlgebra.from_table(dim, [label_str(lab) for lab in labels], brackets)
+    return LieAlgebra.from_table(dim, [label_str(lab) for lab in checked.labels], brackets)
 
 
 # ---------------------------------------------------------------------------

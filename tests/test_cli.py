@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -226,6 +227,44 @@ def test_verify_unreadable_inputs(capsys, tmp_path):
     bad.write_text("not json at all")
     rc, _, err = run(capsys, "verify", str(bad))
     assert rc == 2
+
+
+def _diag_entry(data):
+    return next(lab["diag"]["entries"] for lab in data["basis"] if "diag" in lab)
+
+
+@pytest.mark.parametrize(
+    "text, edit",
+    [
+        ("2|6 / 8", lambda data: data.update(det="1/0")),
+        ("2|6 / 8", lambda data: data.update(k="1/0")),
+        ("2|6 / 8", lambda data: data["dual_matrix"].update({"8,3": "1/0"})),
+        ("1|4 / 3|1|1", lambda data: _diag_entry(data).__setitem__(0, "1/0")),
+    ],
+    ids=["det", "k", "dual-matrix", "custom-diagonal"],
+)
+def test_verify_zero_denominator_is_unreadable(capsys, tmp_path, text, edit):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", text, "--out", str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == "" and "cannot read certificate" in err
+
+
+def test_verify_explains_an_over_limit_certificate(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "2|6 / 8", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["spec"] = "400 / 400"  # dim 159,999
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert rc == 1 and out == ""
+    assert "has dimension 159999, above the verification limit 1024" in err
+    assert "verification FAILED" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import seaweed.contact
 from seaweed.cli import main
 from seaweed.contact import (
+    MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
     OneForm,
@@ -30,6 +32,7 @@ from seaweed.standard_form import (
     SeaweedSpec,
     dual_matrix_to_coeffs,
     materialize,
+    seaweed_dim,
     spec_pairs,
     standard_basis,
 )
@@ -431,6 +434,27 @@ def test_cli_verify_rejects_basis_of_a_subalgebra(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "verification FAILED" in captured.err
+
+
+def test_verify_rejects_an_over_limit_spec_before_building_anything(monkeypatch):
+    cert = synthesize_contact(spec("2|6 / 8"))
+    forged = dataclasses.replace(cert, spec=spec("400 / 400"))
+    assert seaweed_dim(forged.spec) > MAX_VERIFY_DIM
+    built = []
+    monkeypatch.setattr(
+        seaweed.contact, "check_basis", lambda *args: built.append(args)
+    )
+    t0 = time.perf_counter()
+    assert verify_certificate(forged) is False
+    assert time.perf_counter() - t0 < 1
+    assert built == []
+
+
+def test_verify_limit_admits_the_benchmark_specs():
+    for text in ("2|18 / 20", "2|30 / 32"):
+        sp = spec(text)
+        assert seaweed_dim(sp) <= MAX_VERIFY_DIM
+        assert verify_certificate(synthesize_contact(sp)), text
 
 
 def test_certificate_json_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaweed.liealg import index_randomized, jacobi_check
+from seaweed.liealg import bhat_det, index_randomized, jacobi_check
 from seaweed.standard_form import (
     Composition,
     CustomDiagonal,
@@ -17,6 +17,7 @@ from seaweed.standard_form import (
     SeaweedSpec,
     SpanError,
     admissible,
+    check_basis,
     compositions,
     dual_matrix_to_coeffs,
     label_from_json,
@@ -386,3 +387,142 @@ def test_dual_matrix_range_check():
     sp = SeaweedSpec.parse("2/2")
     with pytest.raises(ValueError):
         dual_matrix_to_coeffs(sp, standard_basis(sp), {(0, 1): Fraction(1)})
+
+
+# ---------------------------------------------------------------------------
+# trace pairing against the structure table
+# ---------------------------------------------------------------------------
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_spec(draw):
+    n = draw(st.integers(1, 6))
+
+    def composition():
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        return Composition(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+
+    return SeaweedSpec(composition(), composition())
+
+
+@st.composite
+def permuted_basis(draw, sp):
+    """The standard basis, permuted, with some h(i) traded for fractional
+    custom diagonals (which may leave the diagonals dependent)."""
+    basis = draw(st.permutations(standard_basis(sp)))
+    out = []
+    for lab in basis:
+        if isinstance(lab, DiagDiff) and draw(st.booleans()):
+            head = draw(st.lists(small_fraction, min_size=sp.n - 1, max_size=sp.n - 1))
+            lab = CustomDiagonal(f"D{lab.i}", (*head, -sum(head, Fraction(0))))
+        out.append(lab)
+    return out
+
+
+@st.composite
+def dual_matrix(draw, n):
+    """Sparse W with fractional entries anywhere: diagonal, admissible or not."""
+    keys = st.tuples(st.integers(1, n), st.integers(1, n))
+    return draw(st.dictionaries(keys, small_fraction, max_size=2 * n))
+
+
+def _scaled_values(sphi, sB, s):
+    return [Fraction(v, s) for v in sphi], [[Fraction(v, s) for v in row] for row in sB]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trace_pairing_matches_the_structure_table(data):
+    sp = data.draw(small_spec())
+    basis = data.draw(permuted_basis(sp))
+    W = data.draw(dual_matrix(sp.n))
+    try:
+        checked = check_basis(sp, basis)
+    except SpanError:
+        with pytest.raises(SpanError):
+            materialize(sp, basis)
+        return
+    L = materialize(sp, basis)
+    coeffs = dual_matrix_to_coeffs(sp, basis, W)
+    paired = _scaled_values(*checked.scaled_form(W))
+    tabled = _scaled_values(*L.scaled_form(coeffs))
+    assert paired == tabled
+    assert paired[0] == list(coeffs.coefficients)
+    if checked.dim % 2:
+        assert bhat_det(checked, W) == bhat_det(L, coeffs)
+
+
+def _fraction_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _spans_the_seaweed(sp, basis):
+    """Reference: the labels, as n x n matrices, are seaweed_dim independent
+    elements of the seaweed."""
+    inside = all(
+        not isinstance(lab, MatrixUnit) or admissible(sp, lab.i, lab.j) for lab in basis
+    )
+    flat = [[x for row in _dense(lab, sp.n) for x in row] for lab in basis]
+    return inside and len(basis) == seaweed_dim(sp) == _fraction_rank(flat)
+
+
+def _dense_diagonal(label, n):
+    M = _dense(label, n)
+    return [M[k][k] for k in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_basis_rejects_exactly_the_bases_that_do_not_span(data):
+    sp = data.draw(small_spec())
+    basis = data.draw(permuted_basis(sp))
+    kind = data.draw(st.sampled_from(["none", "drop", "duplicate", "inadmissible", "dependent"]))
+    units = [p for p, lab in enumerate(basis) if isinstance(lab, MatrixUnit)]
+    diags = [p for p, lab in enumerate(basis) if not isinstance(lab, MatrixUnit)]
+    outside = [
+        MatrixUnit(i, j)
+        for i in range(1, sp.n + 1)
+        for j in range(1, sp.n + 1)
+        if i != j and not admissible(sp, i, j)
+    ]
+    if kind == "drop" and basis:
+        del basis[data.draw(st.sampled_from(range(len(basis))))]
+    elif kind == "duplicate" and units:
+        target = data.draw(st.sampled_from(range(len(basis))))
+        basis[target] = basis[data.draw(st.sampled_from(units))]
+    elif kind == "inadmissible" and units and outside:
+        basis[data.draw(st.sampled_from(units))] = data.draw(st.sampled_from(outside))
+    elif kind == "dependent" and diags:
+        target = data.draw(st.sampled_from(diags))
+        combo = [Fraction(0)] * sp.n
+        for p in diags:
+            if p != target:
+                c = data.draw(small_fraction)
+                combo = [x + c * y for x, y in zip(combo, _dense_diagonal(basis[p], sp.n))]
+        basis[target] = CustomDiagonal("dependent", tuple(combo))
+
+    def rejects(build):
+        try:
+            build(sp, basis)
+        except SpanError:
+            return True
+        return False
+
+    expected = not _spans_the_seaweed(sp, basis)
+    assert rejects(check_basis) == expected
+    assert rejects(materialize) == expected
+

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import random
@@ -32,6 +33,7 @@ from fractions import Fraction
 
 from .contact import (
     DEFAULT_K_MAX,
+    MAX_FORM_ENTRIES_PER_VERTEX,
     MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
@@ -49,7 +51,7 @@ from .liealg import (
     squared_identity_holds,
     wedge_volume_coefficient,
 )
-from .meander import build_meander, components, orient, render
+from .meander import build_meander, components, counts, index_from_counts, orient, render
 from .meander import index_gcd_2part, index_gcd_3part
 from .standard_form import Composition, SeaweedSpec, compositions
 from .standard_form import materialize, seaweed_dim
@@ -171,6 +173,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"above the verification limit {MAX_VERIFY_DIM}",
             file=sys.stderr,
         )
+    entries, limit = len(cert.form.entries), MAX_FORM_ENTRIES_PER_VERTEX * cert.spec.n
+    if entries > limit:
+        print(
+            f"seaweed: the form has {entries} dual-matrix entries, "
+            f"above the verification limit {limit} for n = {cert.spec.n}",
+            file=sys.stderr,
+        )
     if not verify_certificate(cert):
         print("verification FAILED", file=sys.stderr)
         return 1
@@ -179,21 +188,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_row(
-    task: tuple[Composition, Composition, str, str, bool, int | None]
-) -> tuple[str, ...]:
-    top, bottom, top_text, bottom_text, classify, index_filter = task
+@functools.lru_cache(maxsize=None)
+def _composition_table(n: int) -> tuple[tuple[str, Composition], ...]:
+    """The 2^(n-1) compositions of n with their texts, in text order ("10" <
+    "1|9"), built once per process: census tasks name them by position, and
+    every row shares the objects and so their cached arcs and triangles."""
+    return tuple(sorted((c.text(), c) for c in map(Composition, compositions(n))))
+
+
+def _census_row(task: tuple[int, int, int, bool, int | None]) -> tuple[str, ...]:
+    """One census row from (n, top position, bottom position, classify,
+    index filter): dim, index, cycles and paths from counts alone; only an
+    index-one row that is classified or verified synthesizes."""
+    n, t, b, classify, index_filter = task
+    table = _composition_table(n)
+    top_text, top = table[t]
+    bottom_text, bottom = table[b]
     spec = SeaweedSpec(top, bottom)
-    rep = components(build_meander(spec))
-    idx = rep.index
-    row = [
-        top_text,
-        bottom_text,
-        str(seaweed_dim(spec)),
-        str(idx),
-        str(rep.C),
-        str(rep.P),
-    ]
+    C, P = counts(build_meander(spec))
+    idx = index_from_counts(C, P)
+    row = [top_text, bottom_text, str(seaweed_dim(spec)), str(idx), str(C), str(P)]
     case = ""
     verified = ""
     if idx == 1 and (classify or index_filter == 1):
@@ -220,10 +234,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     they are computed, so a row that raises leaves the earlier rows on stdout;
     the table collects its rows for the column widths.
 
-    Each of the 2^(n-1) compositions is built once, with its text, and every
-    row shares those objects (and so their cached arcs). ``--jobs`` must be at
-    least 1; at most as many workers start as there are usable CPUs, and one
-    worker runs in process. The output is the same for any worker count."""
+    A task names its two compositions by position in ``_composition_table``,
+    so a pooled task pickles a few ints and each worker builds the table once.
+    ``--jobs`` must be at least 1; at most as many workers start as there are
+    usable CPUs, and one worker runs in process. The output is the same for
+    any worker count."""
     n = args.n
     if not 1 <= n <= 12:
         print("seaweed: n must be between 1 and 12", file=sys.stderr)
@@ -232,11 +247,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"seaweed: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     workers = min(args.jobs, _usable_cpus())
-    comps = sorted((c.text(), c) for c in map(Composition, compositions(n)))  # "10" < "1|9"
+    size = len(_composition_table(n))
     tasks = (
-        (t, b, t_text, b_text, args.classify, args.index_filter)
-        for t_text, t in comps
-        for b_text, b in comps
+        (n, t, b, args.classify, args.index_filter) for t in range(size) for b in range(size)
     )
     header = ["top", "bottom", "dim", "index", "cycles", "paths"]
     if args.classify:

@@ -29,7 +29,7 @@ from .liealg import (
     bhat_det,
     squared_identity_holds,
 )
-from .meander import build_meander, components, orient
+from .meander import build_meander, components, counts, index_from_counts, orient
 from .meander import index as meander_index
 from .standard_form import (
     BasisLabel,
@@ -49,6 +49,7 @@ from .standard_form import (
 __all__ = [
     "DEFAULT_K_MAX",
     "MAX_VERIFY_DIM",
+    "MAX_FORM_ENTRIES_PER_VERTEX",
     "OneForm",
     "ContactCertificate",
     "NotIndexOneError",
@@ -72,6 +73,14 @@ DEFAULT_K_MAX = 64
 # dim <= 143, and the largest spec the tests and benchmarks verify,
 # 2|18 / 20, has dim 363.
 MAX_VERIFY_DIM = 1024
+
+# Most dual-matrix entries verify_certificate accepts, per vertex of the
+# spec: a form may have at most MAX_FORM_ENTRIES_PER_VERTEX * n entries. The
+# dimension bound alone does not bound the time, since a dense dual matrix
+# makes B_phi dense. The library's own forms have at most 2n - 1 entries, one
+# per meander edge plus at most n - 1 diagonal duals (1.5n at most for
+# n <= 8); this is checked before any basis or matrix is built.
+MAX_FORM_ENTRIES_PER_VERTEX = 2
 
 
 class NotIndexOneError(ValueError):
@@ -328,11 +337,9 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
     for the smallest k in 1..k_max that makes the bordered determinant
     nonzero (k = 1 in every case seen).
     """
-    rep = components(build_meander(spec))
-    if rep.C != 1 or rep.P != 0:
-        raise WrongCaseError(
-            f"{spec.text()}: {rep.C} cycles + {rep.P} paths, need exactly one cycle"
-        )
+    C, P = counts(build_meander(spec))
+    if C != 1 or P != 0:
+        raise WrongCaseError(f"{spec.text()}: {C} cycles + {P} paths, need exactly one cycle")
     n = spec.n
     checked = check_basis(spec)
     basis = checked.labels
@@ -410,10 +417,11 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
 
 def synthesize_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCertificate:
     """Dispatch on the meander shape; only index-one seaweeds are accepted."""
-    rep = components(build_meander(spec))
-    if rep.index != 1:
-        raise NotIndexOneError(f"{spec.text()} has index {rep.index}, not 1", rep.index)
-    if rep.P == 2:
+    C, P = counts(build_meander(spec))
+    idx = index_from_counts(C, P)
+    if idx != 1:
+        raise NotIndexOneError(f"{spec.text()} has index {idx}, not 1", idx)
+    if P == 2:
         return case1_contact(spec)
     return case2_contact(spec, k_max)
 
@@ -425,7 +433,8 @@ def synthesize_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> Contact
 def verify_certificate(cert: ContactCertificate) -> bool:
     """Re-derive the determinant from the certificate's own data.
 
-    A spec of dimension above MAX_VERIFY_DIM is rejected before anything is
+    A spec of dimension above MAX_VERIFY_DIM, or a form with more than
+    MAX_FORM_ENTRIES_PER_VERTEX * n entries, is rejected before anything is
     built. Otherwise the basis must pass ``check_basis`` (a full basis of
     that seaweed), and the form, read as the dual matrix W, is evaluated by
     trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the gl(n) bracket
@@ -441,6 +450,8 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     try:
         spec = cert.spec
         if seaweed_dim(spec) > MAX_VERIFY_DIM:
+            return False
+        if len(cert.form.entries) > MAX_FORM_ENTRIES_PER_VERTEX * spec.n:
             return False
         checked = check_basis(spec, cert.basis)
         # one evaluation serves the determinant, the TwoPaths minor and the

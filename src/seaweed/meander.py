@@ -6,7 +6,10 @@ below. Since every vertex meets at most one top and one bottom arc, components
 are alternating paths and cycles, and the index is 2C + P - 1. The same pair
 appearing on both sides is kept as two distinct edges (a 2-cycle), which is
 what makes the fully parabolic n/n case come out right. ``components`` walks
-two partner lists indexed by vertex, 0 meaning no arc on that side.
+two partner lists indexed by vertex, 0 meaning no arc on that side, and lists
+every component; ``counts`` walks the same lists for the cycles only, and gets
+P = n - #arcs, since a cycle has as many edges as vertices and a path one
+fewer.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ __all__ = [
     "build_meander",
     "orient",
     "components",
+    "counts",
+    "index_from_counts",
     "index",
     "index_gcd_3part",
     "index_gcd_2part",
@@ -90,8 +95,15 @@ class Component:
     vertices: tuple[int, ...]
 
 
+def index_from_counts(C: int, P: int) -> int:
+    """2C + P - 1 (Dergachev-Kirillov) for C cycles and P paths."""
+    return 2 * C + P - 1
+
+
 @dataclass(frozen=True)
 class ComponentReport:
+    """Every component, listed; ``counts`` gives (C, P) without the list."""
+
     components: tuple[Component, ...]
     # cycles, counted once; P and index derive from the count
     C: int = field(init=False, repr=False, compare=False)
@@ -113,8 +125,7 @@ class ComponentReport:
 
     @property
     def index(self) -> int:
-        """2C + P - 1 (Dergachev-Kirillov)."""
-        return 2 * self.C + self.P - 1
+        return index_from_counts(self.C, self.P)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +210,49 @@ def components(m: Meander) -> ComponentReport:
     return ComponentReport(tuple(comps))
 
 
+def counts(m: Meander) -> tuple[int, int]:
+    """(C, P), the numbers of cycles and paths, without listing components.
+
+    A cycle's vertices all have both partners, and a walk entering a cycle
+    stays in it, so the first walk to reach a cycle starts on it and comes
+    back to its start. Each walk starts at an unseen vertex with both
+    partners, alternates top then bottom, and stops at a missing partner or a
+    seen vertex; C counts the walks that stop at their start. Every component
+    is a path or a cycle, a cycle has as many edges as vertices and a path
+    (an isolated vertex included) one fewer, so P is n minus the arc count.
+    """
+    n = m.n
+    top = [0] * (n + 1)
+    for (u, v) in m.top_edges:
+        top[u] = v
+        top[v] = u
+    bottom = [0] * (n + 1)
+    for (u, v) in m.bottom_edges:
+        bottom[u] = v
+        bottom[v] = u
+
+    seen = [False] * (n + 1)
+    cycles = 0
+    for v in range(1, n + 1):
+        if seen[v] or not (top[v] and bottom[v]):
+            continue
+        cur = v
+        while True:
+            seen[cur] = True
+            cur = top[cur]
+            if not cur or seen[cur]:
+                break
+            seen[cur] = True
+            cur = bottom[cur]
+            if not cur or seen[cur]:
+                break
+        cycles += cur == v
+    return cycles, n - len(m.top_edges) - len(m.bottom_edges)
+
+
 def index(spec: SeaweedSpec) -> int:
-    """2C + P - 1 over the meander components."""
-    return components(build_meander(spec)).index
+    """2C + P - 1 over the meander's cycle and path counts."""
+    return index_from_counts(*counts(build_meander(spec)))
 
 
 def index_gcd_3part(a: int, b: int, c: int) -> int:

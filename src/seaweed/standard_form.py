@@ -69,6 +69,12 @@ class Composition:
     def n(self) -> int:
         return sum(self.parts)
 
+    @cached_property
+    def triangle(self) -> int:
+        """sum p(p-1)/2 over the parts: the block-triangle units this side
+        contributes to a seaweed's dimension."""
+        return sum(p * (p - 1) // 2 for p in self.parts)
+
     def blocks(self) -> list[tuple[int, int]]:
         """Consecutive (first, last) vertex ranges, 1-based inclusive."""
         out = []
@@ -281,11 +287,9 @@ def standard_basis(spec: SeaweedSpec) -> list[BasisLabel]:
 
 
 def seaweed_dim(spec: SeaweedSpec) -> int:
-    """(n-1) + sum a_i(a_i-1)/2 + sum b_j(b_j-1)/2."""
-    n = spec.n
-    tri = sum(p * (p - 1) // 2 for p in spec.top.parts)
-    tri += sum(p * (p - 1) // 2 for p in spec.bottom.parts)
-    return n - 1 + tri
+    """(n-1) + sum a_i(a_i-1)/2 + sum b_j(b_j-1)/2: the traceless diagonal
+    plus each side's cached ``Composition.triangle``."""
+    return spec.n - 1 + spec.top.triangle + spec.bottom.triangle
 
 
 # ---------------------------------------------------------------------------

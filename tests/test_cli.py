@@ -267,6 +267,18 @@ def test_verify_explains_an_over_limit_certificate(capsys, tmp_path):
     assert "verification FAILED" in err
 
 
+def test_verify_explains_a_dense_form(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "2|6 / 8", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["dual_matrix"] = {f"{i},{j}": "1" for i in range(1, 9) for j in range(1, 9)}
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 1 and out == ""
+    assert "the form has 64 dual-matrix entries, above the verification limit 16" in err
+    assert "verification FAILED" in err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -380,8 +392,11 @@ def test_enumerate_table_format(capsys):
 def test_enumerate_rows_follow_text_order(capsys, monkeypatch):
     # "10" sorts before "1|9" as text, while (10,) follows (1, 9) as a tuple
     text = {p: Composition(p).text() for p in compositions(10)}
+    table = seaweed.cli._composition_table(10)  # tasks name compositions by position
     monkeypatch.setattr(
-        seaweed.cli, "_census_row", lambda task: (text[task[0].parts], text[task[1].parts])
+        seaweed.cli,
+        "_census_row",
+        lambda task: (text[table[task[1]][1].parts], text[table[task[2]][1].parts]),
     )
     rc, out, _ = run(capsys, "enumerate", "10", "--csv")
     rows = list(csv.reader(io.StringIO(out, newline="")))[1:]

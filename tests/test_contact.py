@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 import seaweed.contact
 from seaweed.cli import main
 from seaweed.contact import (
+    MAX_FORM_ENTRIES_PER_VERTEX,
     MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
@@ -455,6 +457,34 @@ def test_verify_limit_admits_the_benchmark_specs():
         sp = spec(text)
         assert seaweed_dim(sp) <= MAX_VERIFY_DIM
         assert verify_certificate(synthesize_contact(sp)), text
+
+
+def test_verify_rejects_a_dense_form_before_building_anything(monkeypatch):
+    sp = spec("2|18 / 20")  # dim 363, under MAX_VERIFY_DIM
+    cert = synthesize_contact(sp)
+    rng = random.Random(3)
+    dense = OneForm.from_terms(
+        sp.n,
+        [((i, j), Fraction(rng.randint(1, 9))) for i in range(1, 21) for j in range(1, 21)],
+    )
+    forged = dataclasses.replace(cert, form=dense)
+    assert len(forged.form.entries) == 400 > MAX_FORM_ENTRIES_PER_VERTEX * sp.n
+    built = []
+    monkeypatch.setattr(seaweed.contact, "check_basis", lambda *args: built.append(args))
+    t0 = time.perf_counter()
+    assert verify_certificate(forged) is False
+    assert time.perf_counter() - t0 < 1
+    assert built == []
+
+
+def test_form_entry_limit_admits_the_library_forms():
+    # one entry per meander edge plus at most n - 1 diagonal duals
+    for n in range(1, 7):
+        for sp in spec_pairs(n):
+            if meander_index(sp) != 1:
+                continue
+            entries = len(synthesize_contact(sp).form.entries)
+            assert entries <= 2 * sp.n - 1 <= MAX_FORM_ENTRIES_PER_VERTEX * sp.n, sp.text()
 
 
 def test_certificate_json_round_trip():

@@ -16,7 +16,9 @@ from seaweed.meander import (
     all_parts_even,
     build_meander,
     components,
+    counts,
     index,
+    index_from_counts,
     index_gcd_2part,
     index_gcd_3part,
     meander_from_json,
@@ -212,7 +214,9 @@ def test_components_presentation_on_random_meanders():
         top_of = {u: v for (a, b) in m.top_edges for (u, v) in ((a, b), (b, a))}
         bottom_of = {u: v for (a, b) in m.bottom_edges for (u, v) in ((a, b), (b, a))}
         shared_seen += any(top_of.get(u) == v for (u, v) in m.bottom_edges)
-        comps = components(m).components
+        rep = components(m)
+        assert counts(m) == (rep.C, rep.P), m
+        comps = rep.components
         assert sorted(v for c in comps for v in c.vertices) == list(range(1, m.n + 1))
         mins = [min(c.vertices) for c in comps]
         assert mins == sorted(mins)
@@ -233,6 +237,18 @@ def test_components_presentation_on_random_meanders():
                 assert vs[0] == min(vs)
                 assert vs[1] == min(top_of[vs[0]], bottom_of[vs[0]])
     assert shared_seen > 100
+
+
+def test_counts_match_components_on_every_small_spec():
+    checked = 0
+    for n in range(1, 9):
+        for sp in spec_pairs(n):
+            rep = components(build_meander(sp))
+            C, P = counts(build_meander(sp))
+            assert (C, P) == (rep.C, rep.P), sp.text()
+            assert index_from_counts(C, P) == rep.index == index(sp), sp.text()
+            checked += 1
+    assert checked == sum(4 ** (n - 1) for n in range(1, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +304,7 @@ def test_single_cycle_needs_even_parts_with_big_end():
     (or n = 2); checked exhaustively at small n."""
     for n in range(2, 11):
         for sp in spec_pairs(n):
-            rep = components(build_meander(sp))
-            if rep.C == 1 and rep.P == 0:
+            if counts(build_meander(sp)) == (1, 0):
                 assert all_parts_even(sp)
                 if n > 2:
                     t, b = sp.top.parts, sp.bottom.parts

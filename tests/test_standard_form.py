@@ -154,6 +154,13 @@ def test_dim_equals_basis_length_and_brute_count():
         assert seaweed_dim(sp) == len(standard_basis(sp)) == 4 + brute
 
 
+def test_dim_equals_basis_length_for_every_small_spec():
+    for n in range(1, 7):
+        for sp in spec_pairs(n):
+            assert seaweed_dim(sp) == len(standard_basis(sp)), sp.text()
+            assert sp.top.triangle == sum(p * (p - 1) // 2 for p in sp.top.parts)
+
+
 def test_label_helpers():
     assert label_str(MatrixUnit(3, 1)) == "e(3,1)"
     assert label_str(DiagDiff(2)) == "h(2)"

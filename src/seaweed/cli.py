@@ -13,6 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/check failure, 2 bad input, 3 method
 not applicable to the spec, 4 spec is not index one, 5 synthesis failure.
+``contact``, ``oracle`` and ``index --method oracle`` exit 2 before building
+anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``.
 ``oracle --lemma1`` prints the raw max |det - wedge|, but its exit code follows
 (k!)^2 det = wedge^2, since det has degree 2k+2 in phi and wedge degree k+1.
 The SEAWEED_SEED environment variable overrides the default oracle seed;
@@ -78,6 +80,19 @@ def _parse_spec(text: str) -> SeaweedSpec:
         raise SystemExit(2)
 
 
+def _check_buildable(spec: SeaweedSpec) -> None:
+    """Exit 2 before building a matrix for a spec above MAX_VERIFY_DIM, the
+    dimension limit that verification also applies."""
+    dim = seaweed_dim(spec)
+    if dim > MAX_VERIFY_DIM:
+        print(
+            f"seaweed: {spec.text()} has dimension {dim}, "
+            f"above the limit {MAX_VERIFY_DIM} for building its matrices",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -92,6 +107,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_index(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
+    if args.method == "oracle":
+        _check_buildable(spec)
     rep = components(build_meander(spec))
     if args.method == "meander":
         idx = rep.index
@@ -135,6 +152,7 @@ def cmd_meander(args: argparse.Namespace) -> int:
 
 def cmd_contact(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
+    _check_buildable(spec)
     try:
         cert = synthesize_contact(spec, k_max=args.k_max)
     except NotIndexOneError as exc:
@@ -289,6 +307,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"seaweed: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return 2
     spec = _parse_spec(args.spec)
+    _check_buildable(spec)
     L = materialize(spec)
     seed = _resolve_seed(args)
     idx = index_randomized(L, trials=args.trials, seed=seed)
@@ -381,7 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--classify", action="store_true", help="add the contact case column"
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers; they pay only when rows synthesize (--classify, "
+        "--index-filter 1), since a plain row costs less than sending it back",
+    )
     p.add_argument("--csv", action="store_true", help="CSV instead of a table")
     p.set_defaults(func=cmd_enumerate)
 

@@ -215,22 +215,47 @@ class ContactCertificate:
 
     @classmethod
     def from_json(cls, text: str | dict) -> "ContactCertificate":
+        """Read what ``to_json`` writes. A missing field raises KeyError. A
+        field of another JSON type, or a k that does not fit the case (a
+        string for OneCycle, null otherwise), raises ValueError."""
         data = json.loads(text) if isinstance(text, str) else text
-        spec = SeaweedSpec.parse(data["spec"])
+        _check_json_type("certificate", data, dict)
+        spec = SeaweedSpec.parse(_json_field(data, "spec", str))
+        case = _json_field(data, "case", str)
         terms = []
-        for key, val in data["dual_matrix"].items():
+        for key, val in _json_field(data, "dual_matrix", dict).items():
+            _check_json_type(f"dual_matrix entry {key!r}", val, str)
             i, j = (int(part) for part in key.split(","))
             terms.append(((i, j), Fraction(val)))
         k = data.get("k")
+        if case == "OneCycle":
+            _check_json_type("OneCycle field 'k'", k, str)
+        elif k is not None:
+            raise ValueError(f"field 'k' must be null for a {case} certificate")
         return cls(
             spec=spec,
-            case=data["case"],
-            basis=tuple(label_from_json(b) for b in data["basis"]),
+            case=case,
+            basis=tuple(label_from_json(b) for b in _json_field(data, "basis", list)),
             form=OneForm.from_terms(spec.n, terms),
             k=None if k is None else Fraction(k),
-            det_value=Fraction(data["det"]),
-            auxiliary=data.get("auxiliary", {}),
+            det_value=Fraction(_json_field(data, "det", str)),
+            auxiliary=_json_field(data, "auxiliary", dict) if "auxiliary" in data else {},
         )
+
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _check_json_type(what: str, value: object, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPE_NAMES[kind]}, not {type(value).__name__}")
+
+
+def _json_field(data: dict, key: str, kind: type):
+    """data[key], checked to be a JSON value of the given kind."""
+    value = data[key]
+    _check_json_type(f"field {key!r}", value, kind)
+    return value
 
 
 # ---------------------------------------------------------------------------

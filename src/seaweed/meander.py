@@ -5,11 +5,13 @@ inward (``Composition.arcs``); top arcs live above the vertex line, bottom arcs
 below. Since every vertex meets at most one top and one bottom arc, components
 are alternating paths and cycles, and the index is 2C + P - 1. The same pair
 appearing on both sides is kept as two distinct edges (a 2-cycle), which is
-what makes the fully parabolic n/n case come out right. ``components`` walks
-two partner lists indexed by vertex, 0 meaning no arc on that side, and lists
-every component; ``counts`` walks the same lists for the cycles only, and gets
-P = n - #arcs, since a cycle has as many edges as vertices and a path one
-fewer.
+what makes the fully parabolic n/n case come out right. A ``Meander`` holds
+each side as an ``Arcs`` checked for its n, and a composition's cached arcs
+are one already, so ``build_meander`` checks nothing again. ``components``
+walks the two sides' partner lists, indexed by vertex with 0 meaning no arc
+on that side, and lists every component; ``counts`` walks the same lists for
+the cycles only, and gets P = n - #arcs, since a cycle has as many edges as
+vertices and a path one fewer.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from math import gcd
 
-from .standard_form import SeaweedSpec
+from .standard_form import Arcs, SeaweedSpec
 
 __all__ = [
     "Meander",
@@ -42,31 +44,22 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Meander:
+    """Top and bottom arcs on vertices 1..n; each side is stored as an
+    ``Arcs`` for n, so it is checked and carries its partner list."""
+
     n: int
     top_edges: tuple[Edge, ...]
     bottom_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        """Each side needs its 2 * len(side) endpoints distinct and in [1, n].
-
-        Distinct endpoints means no u == v and no vertex on two arcs of one
-        side, so one set per side decides; only a rejected side runs the
-        per-edge loop, which names the first bad edge."""
+        """A side that is already an ``Arcs`` for n was checked when it was
+        built, and is kept; any other side is checked as it becomes one."""
         n = self.n
-        for side in (self.top_edges, self.bottom_edges):
-            ends: set[int] = set()
-            for (u, v) in side:
-                ends.add(u)
-                ends.add(v)
-            if len(ends) == 2 * len(side) and (not ends or 1 <= min(ends) and max(ends) <= n):
-                continue
-            touched: set[int] = set()
-            for (u, v) in side:
-                if not (1 <= u <= self.n and 1 <= v <= self.n) or u == v:
-                    raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-                if u in touched or v in touched:
-                    raise ValueError(f"vertex reused on one side at ({u}, {v})")
-                touched.update((u, v))
+        top, bottom = self.top_edges, self.bottom_edges
+        if not (isinstance(top, Arcs) and top.n == n):
+            object.__setattr__(self, "top_edges", Arcs(n, top))
+        if not (isinstance(bottom, Arcs) and bottom.n == n):
+            object.__setattr__(self, "bottom_edges", Arcs(n, bottom))
 
 
 @dataclass(frozen=True)
@@ -162,14 +155,8 @@ def components(m: Meander) -> ComponentReport:
     and its part beyond v's bottom arc, walked bottom first, is prepended.
     """
     n = m.n
-    top = [0] * (n + 1)
-    for (u, v) in m.top_edges:
-        top[u] = v
-        top[v] = u
-    bottom = [0] * (n + 1)
-    for (u, v) in m.bottom_edges:
-        bottom[u] = v
-        bottom[v] = u
+    top = m.top_edges.partners
+    bottom = m.bottom_edges.partners
 
     seen = [False] * (n + 1)
     comps: list[Component] = []
@@ -222,14 +209,8 @@ def counts(m: Meander) -> tuple[int, int]:
     (an isolated vertex included) one fewer, so P is n minus the arc count.
     """
     n = m.n
-    top = [0] * (n + 1)
-    for (u, v) in m.top_edges:
-        top[u] = v
-        top[v] = u
-    bottom = [0] * (n + 1)
-    for (u, v) in m.bottom_edges:
-        bottom[u] = v
-        bottom[v] = u
+    top = m.top_edges.partners
+    bottom = m.bottom_edges.partners
 
     seen = [False] * (n + 1)
     cycles = 0

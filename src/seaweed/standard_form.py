@@ -2,12 +2,13 @@
 
 A seaweed is cut out of sl(n) by two compositions of n: the top composition
 owns the lower triangle (block-diagonal lower part), the bottom composition
-owns the upper triangle. This module knows which matrix locations are
-admissible, builds the standard basis (diagonal differences first, then the
-admissible units in row-major order), checks that a given basis is a full one
-(``check_basis``), evaluates one-forms given as dual matrices on such a basis
-by trace pairing, and materializes the result as a ``LieAlgebra`` with exact
-structure constants.
+owns the upper triangle. Each composition builds and checks its meander
+arcs once, as an ``Arcs`` side with its partner list. This module knows
+which matrix locations are admissible, builds the standard basis (diagonal
+differences first, then the admissible units in row-major order), checks
+that a given basis is a full one (``check_basis``), evaluates one-forms
+given as dual matrices on such a basis by trace pairing, and materializes the
+result as a ``LieAlgebra`` with exact structure constants.
 
 Indices are 1-based throughout, matching the e_{i,j} notation in printed
 output; positions into a basis list are plain 0-based Python indices.
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import _kernels
 from .exact import RatMatrix, _clear_denominators, inverse
 from .liealg import CoeffForm, LieAlgebra
 
 __all__ = [
+    "Arcs",
     "Composition",
     "SeaweedSpec",
     "MatrixUnit",
@@ -54,6 +56,54 @@ class SpanError(ValueError):
 # ---------------------------------------------------------------------------
 # compositions and specs
 # ---------------------------------------------------------------------------
+
+class Arcs(tuple):
+    """One side of a meander on vertices 1..n: a tuple of arcs (u, v),
+    checked once when it is built.
+
+    The 2 * len(arcs) endpoints must be distinct and in [1, n]: no u == v and
+    no vertex on two arcs. One set decides; only a rejected side runs the
+    per-edge loop, which names the first bad edge. ``partners[v]`` is v's
+    partner on this side for v in 0..n, 0 for none. An ``Arcs`` equals,
+    hashes and prints as the plain tuple of its arcs. It cannot be changed,
+    since a ``Meander`` keeps an ``Arcs`` for its n without checking it again.
+    """
+
+    n: int
+    partners: tuple[int, ...]
+
+    def __new__(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Arcs":
+        self = super().__new__(cls, arcs)
+        ends: set[int] = set()
+        for (u, v) in self:
+            ends.add(u)
+            ends.add(v)
+        if not (len(ends) == 2 * len(self) and (not ends or 1 <= min(ends) and max(ends) <= n)):
+            touched: set[int] = set()
+            for (u, v) in self:
+                if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                    raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+                if u in touched or v in touched:
+                    raise ValueError(f"vertex reused on one side at ({u}, {v})")
+                touched.update((u, v))
+        partners = [0] * (n + 1)
+        for (u, v) in self:
+            partners[u] = v
+            partners[v] = u
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "partners", tuple(partners))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: Arcs is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Arcs is immutable")
+
+    def __reduce__(self) -> tuple:
+        # tuple's default pickling would call Arcs.__new__ without n
+        return Arcs, (self.n, tuple(self))
+
 
 @dataclass(frozen=True)
 class Composition:
@@ -85,18 +135,19 @@ class Composition:
         return out
 
     @cached_property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
+    def arcs(self) -> Arcs:
         """The meander arcs of this side: each block pairs its outermost
         vertices and works inward, (first, last), (first+1, last-1), ..., so
-        an odd block leaves its middle vertex bare. Computed at most once per
-        object (eq, hash and repr still see only ``parts``)."""
+        an odd block leaves its middle vertex bare. Built and checked at most
+        once per object, as ``Arcs`` for ``self.n`` (eq, hash and repr still
+        see only ``parts``)."""
         arcs = []
         for lo, hi in self.blocks():
             while lo < hi:
                 arcs.append((lo, hi))
                 lo += 1
                 hi -= 1
-        return tuple(arcs)
+        return Arcs(self.n, arcs)
 
     def block_of(self) -> dict[int, int]:
         """vertex -> index of the block containing it."""
@@ -236,6 +287,8 @@ def label_to_json(label: BasisLabel) -> dict:
 
 
 def label_from_json(data: dict) -> BasisLabel:
+    if not isinstance(data, dict):
+        raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
     if "unit" in data:
         i, j = data["unit"]
         return MatrixUnit(i, j)

@@ -1,4 +1,5 @@
 """End-to-end command line behaviour, driven in-process through main()."""
+import contextlib
 import csv
 import io
 import json
@@ -6,14 +7,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seaweed.cli
 from seaweed.cli import main
-from seaweed.contact import ContactCertificate, verify_certificate
-from seaweed.standard_form import Composition, compositions
+from seaweed.contact import ContactCertificate, synthesize_contact, verify_certificate
+from seaweed.meander import build_meander
+from seaweed.standard_form import Composition, SeaweedSpec, compositions
 
 
 def run(capsys, *argv):
@@ -279,9 +284,80 @@ def test_verify_explains_a_dense_form(capsys, tmp_path):
     assert "verification FAILED" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dual_matrix", [["8,3", "1"]], "field 'dual_matrix' must be an object, not list"),
+        ("spec", 8, "field 'spec' must be a string, not int"),
+    ],
+    ids=["dual-matrix-list", "spec-number"],
+)
+def test_verify_mistyped_field_is_unreadable(capsys, tmp_path, field, value, message):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "2|6 / 8", "--out", str(path))
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: cannot read certificate: {message}\n"
+
+
+def _json_kind(value):
+    for kind in (type(None), bool, (int, float), str, list, dict):
+        if isinstance(value, kind):
+            return kind
+
+
+_CERTIFICATES = {
+    text: json.loads(synthesize_contact(SeaweedSpec.parse(text)).to_json())
+    for text in ("1|4 / 3|1|1", "2|6 / 8", "2 / 2")  # TwoPaths, OneCycle, SL2
+}
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_CERTIFICATES)),
+    st.sampled_from(["spec", "case", "basis", "dual_matrix", "k", "det", "auxiliary"]),
+    st.data(),
+)
+def test_verify_fuzz_one_field_of_another_type(text, field, data):
+    cert = dict(_CERTIFICATES[text])
+    kind = _json_kind(cert[field])
+    cert[field] = data.draw(_JSON_VALUES.filter(lambda v: _json_kind(v) != kind))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cert, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", path])
+    assert rc in (1, 2), (cert, rc, out.getvalue(), err.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
+
+def test_census_meanders_keep_the_compositions_checked_sides():
+    # building a census row's meander checks and copies nothing: both sides
+    # are the compositions' cached Arcs
+    table = seaweed.cli._composition_table(6)
+    for _, top in table:
+        for _, bottom in table:
+            spec = SeaweedSpec(top, bottom)
+            m = build_meander(spec)
+            assert m.top_edges is spec.top.arcs and m.bottom_edges is spec.bottom.arcs
+
 
 def test_enumerate_n2_csv(capsys):
     rc, out, _ = run(capsys, "enumerate", "2", "--csv")
@@ -324,7 +400,7 @@ def test_enumerate_filter_verifies(capsys):
     ids=["filter1-n4", "csv-n5", "classify-n5"],
 )
 def test_enumerate_parallel_matches_serial(capsys, argv):
-    # the tasks carry Composition objects, with their cached arcs, to the workers
+    # the tasks carry composition positions; each worker builds its own table
     rc1, serial, _ = run(capsys, "enumerate", *argv)
     rc2, parallel, _ = run(capsys, "enumerate", *argv, "--jobs", "2")
     assert rc1 == rc2 == 0 and serial == parallel
@@ -426,6 +502,37 @@ def test_enumerate_n_out_of_range(capsys):
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a matrix for a spec above the limit")
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (("oracle", "400 / 400"), 159999),
+        (("index", "400 / 400", "--method", "oracle"), 159999),
+        (("contact", "2|398 / 400"), 159203),
+        (("contact", "400 / 400"), 159999),  # index 399: refused before the index is read
+    ],
+    ids=["oracle", "index-oracle", "contact", "contact-not-index-one"],
+)
+def test_commands_that_build_matrices_refuse_specs_above_the_limit(capsys, monkeypatch, argv, dim):
+    monkeypatch.setattr(seaweed.cli, "materialize", _refuse)
+    monkeypatch.setattr(seaweed.cli, "synthesize_contact", _refuse)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == (
+        f"seaweed: {argv[1]} has dimension {dim}, above the limit 1024 for building its matrices\n"
+    )
+
+
+def test_limit_admits_the_largest_ladder_spec(capsys):
+    rc, out, _ = run(capsys, "contact", "2|18 / 20")  # dim 363
+    assert rc == 0 and out.startswith("case: ")
+    rc, out, _ = run(capsys, "index", "400 / 400")  # the meander builds no matrix
+    assert rc == 0 and out == "index 399\n"
+
 
 def test_oracle_index(capsys):
     rc, out, _ = run(capsys, "oracle", "1|4 / 3|1|1", "--trials", "5")

@@ -1,5 +1,6 @@
 """Meander construction, components, the 2C + P - 1 index, and renderers."""
 import json
+import pickle
 import random
 import xml.etree.ElementTree as ET
 from math import gcd
@@ -25,7 +26,14 @@ from seaweed.meander import (
     orient,
     render,
 )
-from seaweed.standard_form import SeaweedSpec, materialize, seaweed_dim, spec_pairs
+from seaweed.standard_form import (
+    Arcs,
+    Composition,
+    SeaweedSpec,
+    materialize,
+    seaweed_dim,
+    spec_pairs,
+)
 
 
 def spec(text):
@@ -128,6 +136,69 @@ def test_meander_accepts_exactly_what_the_per_edge_loop_accepts(case):
     else:
         m = Meander(n, top, bottom)
         assert (m.top_edges, m.bottom_edges) == (top, bottom)
+
+
+def _partner_list(n, side):
+    partners = [0] * (n + 1)
+    for (u, v) in side:
+        partners[u] = v
+        partners[v] = u
+    return partners
+
+
+def test_a_side_checked_for_one_n_is_checked_again_for_another():
+    four = Composition((2, 2)).arcs
+    assert isinstance(four, Arcs) and four.n == 4
+    with pytest.raises(ValueError, match=r"bad edge \(3, 4\) for n=3"):
+        Meander(3, four, ())
+    with pytest.raises(ValueError, match=r"bad edge \(3, 4\) for n=3"):
+        Meander(3, (), four)
+    # a larger n accepts the same arcs, with a partner list as long as n + 1
+    m = Meander(5, four, four)
+    assert m.top_edges == four and m.top_edges.n == 5
+    assert m.top_edges.partners == (0, 2, 1, 4, 3, 0)
+
+
+def test_meander_from_plain_sides_equals_one_from_arcs():
+    for sp in spec_pairs(5):
+        m = build_meander(sp)
+        for top, bottom in [
+            (tuple(sp.top.arcs), tuple(sp.bottom.arcs)),
+            (list(sp.top.arcs), list(sp.bottom.arcs)),
+        ]:
+            plain = Meander(sp.n, top, bottom)
+            assert type(plain.top_edges) is Arcs and type(plain.bottom_edges) is Arcs
+            assert plain == m and hash(plain) == hash(m) and repr(plain) == repr(m)
+    # Arcs prints as the plain tuple of its arcs
+    assert repr(build_meander(spec("2 / 2"))) == (
+        "Meander(n=2, top_edges=((1, 2),), bottom_edges=((1, 2),))"
+    )
+
+
+def test_partners_is_a_tuple_derived_from_the_edges():
+    rng = random.Random(11)
+    meanders = [build_meander(sp) for sp in spec_pairs(6)]
+    meanders += [_random_meander(rng, rng.randint(1, 14)) for _ in range(500)]
+    for m in meanders:
+        for side in (m.top_edges, m.bottom_edges):
+            assert type(side.partners) is tuple
+            assert side.partners == tuple(_partner_list(m.n, side)), m
+    with pytest.raises(AttributeError):
+        meanders[0].top_edges.partners = ()
+    with pytest.raises(AttributeError):
+        meanders[0].top_edges.n = 9
+
+
+def test_arcs_and_read_compositions_survive_pickling():
+    comp = Composition((3, 2, 4))
+    arcs = comp.arcs  # read, so the composition caches it
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(arcs, protocol))
+        assert type(again) is Arcs and again == arcs
+        assert (again.n, again.partners) == (arcs.n, arcs.partners)
+        back = pickle.loads(pickle.dumps(comp, protocol))
+        assert back == comp and type(back.__dict__["arcs"]) is Arcs
+        assert (back.arcs, back.arcs.n, back.arcs.partners) == (arcs, arcs.n, arcs.partners)
 
 
 def test_orientation_convention():

@@ -1,10 +1,9 @@
 """Pure-Python integer elimination kernels.
 
-Reference implementation of the hot loops behind determinant, rank, and kernel
-computations. The compiled twin in ``_fast.pyx`` mirrors these signatures
-exactly; this module is the fallback (and the ground truth the backend parity
-tests compare against). Everything here works on plain ``list[list[int]]`` and
-never mutates its arguments.
+The hot loops behind determinant, rank, and kernel computations. The tests
+check each kernel against ``Fraction`` elimination and cofactor references.
+Everything here works on plain ``list[list[int]]`` and never mutates its
+arguments.
 
 The elimination scheme is fraction-free (Bareiss): the update
 
@@ -64,8 +63,6 @@ determinants are of bordered matrices with about two nonzeros per row:
 from __future__ import annotations
 
 from operator import add
-
-BACKEND = "pure"
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -3,7 +3,7 @@
 Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
 lifting happens on integer matrices (each row scaled by its denominator lcm,
 which changes neither rank nor kernel and scales det by a known factor) inside
-the ``_kernels`` backend. ``RatMatrix`` stores every entry, but ``det``
+``seaweed._kernels``. ``RatMatrix`` stores every entry, but ``det``
 eliminates on the nonzeros only (``_kernels.det_int`` is sparse fraction-free
 Bareiss with Markowitz pivots), so a sparse determinant costs far less than a
 dense one of the same size. ``rank`` of a skew-symmetric matrix without

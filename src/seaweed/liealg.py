@@ -254,7 +254,7 @@ def index_randomized(
     exactly: a mod-p rank that meets the parity floor pins it without bignum
     work, otherwise the exact rank runs. The exact rank eliminates the skew
     B_phi with 2 x 2 pivots, fraction-free, its entries Pfaffian minors
-    (``seaweed._kernels.pure``); so does the mod-p rank on the pure backend.
+    (``seaweed._kernels.pure``); the mod-p rank runs the same elimination.
     Once any trial hits the floor no later trial can lower the min, so the
     loop returns early with the same value a full run would produce.
     """

@@ -112,6 +112,8 @@ class Composition:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("empty composition")
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in self.parts):
+            raise ValueError(f"parts must be ints: {self.parts!r}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
 
@@ -165,7 +167,7 @@ class Composition:
         parts = []
         for piece in text.split("|"):
             piece = piece.strip()
-            if not piece.isdigit():
+            if not (piece.isascii() and piece.isdigit()):
                 raise ValueError(f"bad composition part {piece!r} in {text!r}")
             parts.append(int(piece))
         return cls(tuple(parts))

@@ -12,13 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seaweed
+from seaweed import _kernels
 from seaweed._kernels import pure
 from seaweed.exact import RatMatrix, det, inverse, kernel_basis, rank
-
-try:
-    from seaweed._kernels import _fast
-except ImportError:
-    _fast = None
 
 
 def cofactor_det(rows):
@@ -397,26 +394,17 @@ def test_rank_kernels_match_fraction_rank(case):
 
 
 # ---------------------------------------------------------------------------
-# backend parity
+# the kernel path
 # ---------------------------------------------------------------------------
+
+def test_kernels_are_the_pure_functions():
+    assert seaweed.BACKEND == "pure"
+    for name in ("det_int", "echelon_int", "rank_int", "rank_mod"):
+        assert getattr(_kernels, name) is getattr(pure, name)
+
 
 def _random_int_rows(rng, r, c, bound=10**6):
     return [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled backend not built")
-def test_pure_and_compiled_backends_agree():
-    rng = random.Random(99)
-    for _ in range(10):
-        r = rng.randint(1, 8)
-        c = rng.randint(1, 8)
-        rect = _random_int_rows(rng, r, c)
-        sq = _random_int_rows(rng, r, r)
-        assert pure.det_int(sq) == _fast.det_int(sq)
-        assert pure.rank_int(rect) == _fast.rank_int(rect)
-        assert pure.echelon_int(rect) == _fast.echelon_int(rect)
-        p = 2147483647
-        assert pure.rank_mod(rect, p) == _fast.rank_mod(rect, p)
 
 
 def test_rank_mod_matches_exact_rank_on_small_entries():
@@ -435,22 +423,3 @@ def test_kernels_do_not_mutate_input():
     pure.echelon_int(rows)
     pure.rank_mod(rows, 2147483647)
     assert rows == snapshot
-
-
-def test_seaweed_pure_env_forces_fallback():
-    import os
-    import subprocess
-    import sys
-
-    probe = "import seaweed; print(seaweed.BACKEND)"
-    env = dict(os.environ, SEAWEED_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "pure"
-    env.pop("SEAWEED_PURE")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    expected = "pure" if _fast is None else "compiled"
-    assert out.stdout.strip() == expected

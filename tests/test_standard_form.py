@@ -73,6 +73,42 @@ def test_spec_parse_errors():
         SeaweedSpec.parse("2/2/2")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"top": [2.5, 1.5], "bottom": [4]},
+        {"top": [True, 3], "bottom": [4]},
+        {"top": "22", "bottom": [4]},
+    ],
+    ids=["floats", "bool", "string"],
+)
+def test_spec_json_rejects_parts_that_are_not_ints(data):
+    with pytest.raises(ValueError, match="parts must be ints"):
+        SeaweedSpec.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "text", ["\u00b2 / 2", "\u0663 / 3"], ids=["superscript", "arabic-indic"]
+)
+def test_spec_parse_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="bad composition part"):
+        SeaweedSpec.parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from("0123456789|/ "), st.characters()), max_size=12
+    ).map("".join)
+)
+def test_spec_parse_raises_value_error_or_round_trips(text):
+    try:
+        spec = SeaweedSpec.parse(text)
+    except ValueError:
+        return
+    assert SeaweedSpec.parse(spec.text()) == spec
+
+
 def test_spec_swapped_and_json():
     sp = SeaweedSpec.parse("2|6 / 8")
     assert sp.swapped().text() == "8 / 2|6"

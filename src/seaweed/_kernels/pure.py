@@ -16,9 +16,16 @@ and so does ``rank_int`` on a matrix that is not skew-symmetric.
 
 The index oracle ranks Kirillov matrices, which are skew-symmetric.
 ``rank_int`` and ``rank_mod`` first check that exactly (square, zero
-diagonal, a[i][j] == -a[j][i]) and then run ``_skew_rank``, an elimination
-with 2 x 2 pivots that keeps the Schur complement skew, so only the strict
-lower triangle is stored and updated:
+diagonal, a[i][j] == -a[j][i]) and then eliminate with 2 x 2 pivots, which
+keep the Schur complement skew. A step on the pair (i, j), a = a[i][j] != 0,
+removes rows and columns i and j and sends every other pair k, l to
+
+    a[k][l] + (a[k][i] a[j][l] - a[k][j] a[i][l]) / a.
+
+The rank is twice the number of pivots.
+
+``rank_int`` runs ``_skew_rank`` over Z on the strict lower triangle, stored
+as lists:
 
 - the last live index pivots. If its row is zero, the index lies in the
   kernel and is dropped;
@@ -33,14 +40,42 @@ lower triangle is stored and updated:
   Sylvester's identity, Pf(S) Pf(S+ijkl) = Pf(S+ij) Pf(S+kl)
   - Pf(S+ik) Pf(S+jl) + Pf(S+il) Pf(S+jk). A Pfaffian has half the bits of
   the determinant of the same minor. A row with P[k] = Q[k] = 0 still gets
-  the a // prev scale;
-- mod p the step is a[k][l] + (Q[k] / a) P[l] - (P[k] / a) Q[l], and a row
-  with P[k] = Q[k] = 0 is left as it is;
-- the rank is twice the number of pivots.
+  the a // prev scale.
+
+It stays on lists because its entries are minors of unbounded size: no
+fixed slot width holds them.
 
 Every update must act on rows and columns alike. Scaling a stored triangle
-row on its own (say, row k by a, or by 1/a mod p) scales half of row k and
-half of column k, which is no congruence, and gives wrong ranks.
+row on its own (say, row k by a) scales half of row k and half of column k,
+which is no congruence, and gives wrong ranks.
+
+``rank_mod`` runs ``_packed_skew_rank``: each full row of the matrix mod p is
+one Python int, with one fixed-width slot per column holding a nonnegative
+residue, and a row update is one big-integer multiply-add (the packing with
+delayed reduction of Dumas, Fousse & Salvy 2011 and FFLAS-FFPACK, Dumas,
+Giorgi & Pernet 2008):
+
+- the pivot row i is the last live index. It is unpacked and reduced to
+  residues in [0, p), which finds j, its last nonzero column below i, or
+  shows it zero (then i lies in the kernel and is dropped). Row j is
+  reduced the same way, and both are repacked as R_i and R_j;
+- every other live row k with a[k][i] or a[k][j] nonzero becomes
+
+      row_k + c_j R_j + c_i R_i,  c_j = a[k][i] / a, c_i = -a[k][j] / a,
+
+  with c_j and c_i taken in [0, p). By skewness a[k][i] = -a[i][k] and
+  a[k][j] = -a[j][k], so the coefficients come from the two reduced pivot
+  rows, and no other row is ever reduced: an update costs no Python work
+  per entry;
+- the bound: a slot starts below p, and a step adds at most 2 (p-1)^2 to
+  it. There are at most n/2 steps, so a slot stays below
+  (p-1) + n (p-1)^2, and the slot width w is the least with that bound
+  below 2^w (72 bits for p = 2^31 - 1 and n <= 1024). No slot carries into
+  its neighbour, and each slot stays congruent mod p to its entry;
+- a row never updated keeps the residues it started with, so it is not
+  unpacked when it pivots. Columns at or above the pivot index are dead
+  (zero mod p in every live row), so a pivot row is read and repacked only
+  below it.
 
 ``rank_mod`` ranks a matrix A that is not skew as the skew matrix
 [[0, -A^T], [A, 0]], whose rank is 2 rank A, so one elimination serves both.
@@ -62,7 +97,10 @@ determinants are of bordered matrices with about two nonzeros per row:
 """
 from __future__ import annotations
 
-from operator import add
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, mod, mul, or_
+from struct import Struct, calcsize
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -190,7 +228,7 @@ def rank_int(rows: list[list[int]]) -> int:
     (module docstring); any other goes through ``echelon_int``.
     """
     if _is_skew(rows):
-        return _skew_rank([row[:k] for k, row in enumerate(rows)], None)
+        return _skew_rank([row[:k] for k, row in enumerate(rows)])
     return len(echelon_int(rows)[1])
 
 
@@ -201,13 +239,14 @@ def rank_mod(rows: list[list[int]], p: int) -> int:
     minor that is nonzero mod p, hence nonzero over Q. Callers exploit this for
     certified early answers (see the index oracle). A matrix A that is not
     skew-symmetric is ranked as the skew [[0, -A^T], [A, 0]], of rank 2 rank A.
+    The elimination runs on packed rows (module docstring).
     """
     if _is_skew(rows):
-        return _skew_rank([[x % p for x in row[:k]] for k, row in enumerate(rows)], p)
+        return _packed_skew_rank([list(map(mod, row, repeat(p))) for row in rows], p)
     m = len(rows[0]) if rows else 0
-    lower = [[0] * c for c in range(m)]
-    lower += [[x % p for x in row] + [0] * i for i, row in enumerate(rows)]
-    return _skew_rank(lower, p) // 2
+    skew = [[0] * m + [-row[c] % p for row in rows] for c in range(m)]
+    skew += [[x % p for x in row] + [0] * len(rows) for row in rows]
+    return _packed_skew_rank(skew, p) // 2
 
 
 def _is_skew(rows: list[list[int]]) -> bool:
@@ -221,12 +260,11 @@ def _is_skew(rows: list[list[int]]) -> bool:
     return True
 
 
-def _skew_rank(lower: list[list[int]], p: int | None) -> int:
-    """Rank of a skew-symmetric matrix given by its strict lower triangle.
+def _skew_rank(lower: list[list[int]]) -> int:
+    """Exact rank of a skew-symmetric matrix given by its strict lower triangle.
 
-    ``lower[k]`` holds a[k][:k]; the lists are consumed. Over Z when p is None
-    (fraction-free, entries are Pfaffian minors), otherwise mod p with entries
-    already reduced.
+    ``lower[k]`` holds a[k][:k]; the lists are consumed. The elimination is
+    fraction-free, and its entries are Pfaffian minors (module docstring).
     """
     prev = 1
     pivots = 0
@@ -241,13 +279,6 @@ def _skew_rank(lower: list[list[int]], p: int | None) -> int:
         a = last[s]
         P = last[:s] + last[s + 1 :]
         Q = lower[s] + [-lower[k][s] for k in range(s + 1, len(lower))]
-        if p is not None:
-            # residues in [-p/2, p/2]: for p < 2^31 the factors of the
-            # products below fit in one CPython digit, which multiplies fastest
-            h = p // 2
-            inv = pow(a, -1, p)
-            Q = [(x + h) % p - h for x in Q]
-            P = [(x * inv + h) % p - h for x in P]
         rest = []
         for k, row in enumerate(lower):
             if k == s:
@@ -258,15 +289,101 @@ def _skew_rank(lower: list[list[int]], p: int | None) -> int:
             # and Q; index k itself comes next
             pk = P[len(row)]
             qk = Q[len(row)]
-            if p is None:
-                if pk or qk:
-                    row = [(a * x + qk * y - pk * z) // prev for x, y, z in zip(row, P, Q)]
-                elif a != prev:
-                    row = [x * a // prev for x in row]
-            elif pk or qk:
-                row = [(x + qk * y - pk * z) % p for x, y, z in zip(row, P, Q)]
+            if pk or qk:
+                row = [(a * x + qk * y - pk * z) // prev for x, y, z in zip(row, P, Q)]
+            elif a != prev:
+                row = [x * a // prev for x in row]
             rest.append(row)
         lower = rest
         prev = a
+        pivots += 1
+    return 2 * pivots
+
+
+_WORD = (1 << 64) - 1
+
+
+@lru_cache(maxsize=128)
+def _slot_layout(n: int, p: int) -> tuple:
+    """How ``_packed_skew_rank`` packs a row of n residues mod p into bytes.
+
+    A slot is w bits wide, the least w with (p-1) + n (p-1)^2 < 2^w, rounded
+    up to whole 64-bit words plus one narrower tail field ('B', 'H', 'I' or
+    'Q'). Returns (write, read, size, words, limbs): ``write`` packs n
+    residues, each given as ``limbs`` 64-bit words, into the low end of
+    their slots; ``read`` unpacks the ``size`` bytes of a row into ``words``
+    64-bit fields plus the tail per slot, low field first.
+    """
+    w = ((p - 1) + n * (p - 1) ** 2).bit_length()
+    words = (w - 1) // 64
+    tail = next(c for c in "BHIQ" if 8 * calcsize("<" + c) >= w - 64 * words)
+    width = 8 * words + calcsize("<" + tail)
+    limbs = -(-(p - 1).bit_length() // 64)
+    # a residue has half a slot's bits, so it fits the leading words; a
+    # one-field slot holds it in the tail
+    lead = "Q" * limbs if words else tail
+    read = Struct("<" + ("Q" * words + tail) * n)
+    write = Struct("<" + (lead + f"{width - calcsize('<' + lead)}x") * n)
+    return write.pack, read.unpack, read.size, words, limbs
+
+
+def _packed_skew_rank(res: list[list[int]], p: int) -> int:
+    """Rank mod p of the skew-symmetric matrix whose rows of residues in
+    [0, p) are ``res``; the lists are consumed.
+
+    Packed rows, one big-integer multiply-add per row update (module
+    docstring).
+    """
+    n = len(res)
+    write, read, size, words, limbs = _slot_layout(n, p)
+    fields = words + 1
+    r64 = (1 << 64) % p
+    shifts = range(0, 64 * limbs, 64)
+    zeros = [0] * n
+
+    def pack(vals: list[int]) -> int:
+        vals = vals + zeros[len(vals) :]
+        if limbs > 1:
+            vals = [x >> s & _WORD for x in vals for s in shifts]
+        return int.from_bytes(write(*vals), "little")
+
+    def residues(row: int, count: int) -> list[int]:
+        # the first count slots of row, reduced mod p
+        f = read(row.to_bytes(size, "little"))
+        end = fields * count
+        vals = f[words:end:fields]
+        for t in range(words - 1, -1, -1):
+            vals = map(add, map(mul, vals, repeat(r64)), f[t:end:fields])
+        return list(map(mod, vals, repeat(p)))
+
+    packed: list[int | None] = [pack(r) for r in res]
+    pivots = 0
+    for i in range(n - 1, -1, -1):
+        Ri = packed[i]
+        if Ri is None:
+            # consumed as the partner j of an earlier pivot
+            continue
+        # res[k] stays the residues of row k until row k is first updated
+        ri = res[i]
+        if ri is None:
+            ri = residues(Ri, i)
+        j = max(compress(range(i), ri), default=None)
+        if j is None:
+            # a zero row: its index lies in the kernel
+            continue
+        Rj = packed[j]
+        packed[j] = None
+        rj = res[j]
+        if rj is None:
+            rj = residues(Rj, i)
+            Rj = pack(rj)
+        if res[i] is None:
+            Ri = pack(ri)
+        inv = pow(ri[j], -1, p)
+        ninv = p - inv
+        ri[j] = 0
+        for k in compress(range(i), map(or_, ri, rj)):
+            packed[k] += ri[k] * ninv % p * Rj + rj[k] * inv % p * Ri
+            res[k] = None
         pivots += 1
     return 2 * pivots

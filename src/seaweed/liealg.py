@@ -252,9 +252,11 @@ def index_randomized(
     dense, so this equals the true index except with negligible probability;
     it is always an upper bound. Per trial, the kernel dimension is computed
     exactly: a mod-p rank that meets the parity floor pins it without bignum
-    work, otherwise the exact rank runs. The exact rank eliminates the skew
-    B_phi with 2 x 2 pivots, fraction-free, its entries Pfaffian minors
-    (``seaweed._kernels.pure``); the mod-p rank runs the same elimination.
+    work, otherwise the exact rank runs. Both eliminate the skew B_phi with
+    2 x 2 pivots (``seaweed._kernels.pure``): the exact rank fraction-free on
+    lists, its entries Pfaffian minors; the mod-p rank on rows packed one
+    per integer, each row update one multiply-add, reducing only the two
+    pivot rows of a step.
     Once any trial hits the floor no later trial can lower the min, so the
     loop returns early with the same value a full run would produce.
     """

@@ -211,9 +211,17 @@ class SeaweedSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeaweedSpec":
-        spec = cls(
-            Composition(tuple(data["top"])), Composition(tuple(data["bottom"]))
-        )
+        """The spec of ``to_json``'s object. Anything else raises
+        ``ValueError``, which names the field at fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"spec JSON must be an object, got {type(data).__name__}")
+        sides = []
+        for field in ("top", "bottom"):
+            parts = data.get(field)
+            if not isinstance(parts, (list, tuple)):
+                raise ValueError(f"spec JSON {field!r}: parts must be ints in a list, got {parts!r}")
+            sides.append(Composition(tuple(parts)))
+        spec = cls(*sides)
         if "n" in data and data["n"] != spec.n:
             raise ValueError("inconsistent n in spec JSON")
         return spec

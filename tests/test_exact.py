@@ -393,6 +393,86 @@ def test_rank_kernels_match_fraction_rank(case):
     assert rows == snapshot
 
 
+# Primes from 2 up past one 64-bit word: small p, where the rank mod p is
+# often below the rational rank, up to p = 2^89 - 1, whose residues take two
+# words in a packed slot.
+MOD_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+def modp_rank(rows, p):
+    """Rank mod p by plain row reduction over the residues."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def modp_rank_inputs(draw):
+    """(rows, p): skew matrices of size 0-40 and rectangular ones up to
+    20 x 20, sparse to fully dense, of full or low rank. Entries are often
+    multiples of p or one below them (residue p - 1, the largest), next to
+    entries of any size and sign."""
+    p = draw(st.sampled_from(MOD_PRIMES))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.choice([1.0, 1.0, rng.random()])
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        kind = rng.random()
+        if kind < 0.2:
+            return p * rng.randint(-2, 2)
+        if kind < 0.5:
+            return p * rng.randint(-2, 2) - 1
+        return rng.randint(-(p**2), p**2)
+
+    if rng.random() < 0.3:
+        r, c = rng.randint(1, 20), rng.randint(1, 20)
+        if rng.random() < 0.5:
+            # rank at most k
+            k = rng.randint(1, min(r, c))
+            b = [[entry() for _ in range(k)] for _ in range(r)]
+            d = [[entry() for _ in range(c)] for _ in range(k)]
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*d)] for row in b], p
+        return [[entry() for _ in range(c)] for _ in range(r)], p
+    n = rng.randint(0, 40)
+    a = [[0] * n for _ in range(n)]
+    if n and rng.random() < 0.3:
+        # a sum of a few rank-2 skew terms u v^T - v u^T
+        for _ in range(rng.randint(1, max(1, n // 4))):
+            u = [entry() for _ in range(n)]
+            v = [entry() for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    a[i][j] += u[i] * v[j] - v[i] * u[j]
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = entry()
+                a[j][i] = -a[i][j]
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(modp_rank_inputs())
+def test_rank_mod_matches_modp_row_reduction(case):
+    rows, p = case
+    snapshot = [r[:] for r in rows]
+    assert pure.rank_mod(rows, p) == modp_rank(rows, p)
+    assert rows == snapshot
+
+
 # ---------------------------------------------------------------------------
 # the kernel path
 # ---------------------------------------------------------------------------

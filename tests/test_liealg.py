@@ -10,8 +10,10 @@ from math import factorial
 
 import pytest
 
+from seaweed import _kernels, liealg
 from seaweed.exact import RatMatrix, det, kernel_basis, rank
 from seaweed.liealg import (
+    SAMPLE_BOUND,
     CoeffForm,
     ContactWitness,
     LieAlgebra,
@@ -26,6 +28,7 @@ from seaweed.liealg import (
     squared_identity_holds,
     wedge_volume_coefficient,
 )
+from seaweed.standard_form import SeaweedSpec, materialize
 
 
 def sl2() -> LieAlgebra:
@@ -189,6 +192,19 @@ def test_index_deterministic_under_seed(three_dim_solvable):
     a = index_randomized(three_dim_solvable, trials=25, seed=42)
     b = index_randomized(three_dim_solvable, trials=25, seed=42)
     assert a == b
+
+
+def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
+    """2|18 / 20 has dim 363 and index 1. Its first sampled Kirillov form
+    reaches the parity floor mod p, so the oracle settles it with one mod-p
+    rank on dense rows of that size."""
+    L = materialize(SeaweedSpec.parse("2|18 / 20"))
+    assert L.dim == 363
+    assert index_randomized(L, trials=25, seed=1729) == 1
+    rng = random.Random(1729)
+    phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(L.dim)]
+    rows = liealg._kirillov_int_rows(L, phi)
+    assert _kernels.rank_mod(rows, liealg._PRIME) == 362
 
 
 def test_index_rejects_bad_trials(three_dim_solvable):

@@ -87,6 +87,25 @@ def test_spec_json_rejects_parts_that_are_not_ints(data):
         SeaweedSpec.from_json(data)
 
 
+@pytest.mark.parametrize("field", ["top", "bottom"])
+@pytest.mark.parametrize(
+    "value", [None, 5, {"a": 1}, "missing"], ids=["null", "number", "object", "missing"]
+)
+def test_spec_json_rejects_a_side_that_is_not_a_list(field, value):
+    data = {"top": [4], "bottom": [4]}
+    if value == "missing":
+        del data[field]
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        SeaweedSpec.from_json(data)
+
+
+def test_spec_json_must_be_an_object():
+    with pytest.raises(ValueError, match="must be an object"):
+        SeaweedSpec.from_json([[4], [4]])
+
+
 @pytest.mark.parametrize(
     "text", ["\u00b2 / 2", "\u0663 / 3"], ids=["superscript", "arabic-indic"]
 )

@@ -80,11 +80,45 @@ Giorgi & Pernet 2008):
 ``rank_mod`` ranks a matrix A that is not skew as the skew matrix
 [[0, -A^T], [A, 0]], whose rank is 2 rank A, so one elimination serves both.
 
-``det_int`` runs the Bareiss recurrence on sparse rows, because the library's
-determinants are of bordered matrices with about two nonzeros per row:
+``det_int`` works on sparse rows, because the library's determinants are of
+bordered matrices with about two nonzeros per row. Each row becomes a dict
+``{col: value}`` of its nonzeros once, and the skewness check runs on those
+dicts in O(nnz): every stored a[i][c] needs a[c][i] == -a[i][c], which also
+rules out a nonzero diagonal entry.
 
-- each row is a dict ``{col: value}`` of its nonzeros, and a column -> rows
-  index means a step touches only the rows that hold the pivot column;
+A skew-symmetric input (the bordered matrices [[0, phi^T], [-phi, B_phi]]
+and the TwoPaths minors C') has det 0 at odd size and Pf^2 at even size.
+``_sparse_pfaffian`` computes Pf on full dict rows, both halves of the
+matrix, so the rows that hold a column are that column's own keys:
+
+- a leaf, a row i with exactly one nonzero a[i][j], is peeled: expansion
+  along row i gives Pf = +-a[i][j] Pf(A without rows and columns i, j), and
+  no other row is updated. Peels come first; three in four pivots of the
+  contact determinants are peels;
+- when no leaf is left, one fraction-free 2 x 2 step (the recurrence of
+  ``_skew_rank`` below, on the whole row) pivots on a pair (i, j) with i a
+  row of least degree and j its lightest neighbour. A row that holds
+  neither column i nor column j would only be scaled by a / prev; it keeps
+  ``det_int``'s lazy stamp instead (below);
+- exactness: after steps on the pairs of S, each stored entry is
+  +-Pf(A[S + {k, l}]) and prev = +-Pf(A[S]); the matrix they stand for is
+  the stored one over prev. A peel removes indices without adding them to
+  S, so the entries left stay such minors. A step contributes a / prev and
+  a leaf a'[i][j] / prev, the values at that moment; the step factors
+  telescope, so
+
+      Pf A = +-(last prev) * prod(a'_leaf) / prod(prev at each leaf),
+
+  and that one final division is exact because Pf A is an integer. The
+  sign is not tracked, since only Pf^2 is used.
+
+Any other input runs the Bareiss recurrence: ``check_basis``'s
+h-coordinates, and ``exact.det`` of a matrix whose integer rows are not
+skew (clearing denominators row by row breaks the skewness of a rational
+skew matrix unless every row has the same denominator lcm):
+
+- a column -> rows index means a step touches only the rows that hold the
+  pivot column;
 - the pivot minimizes the Markowitz cost (row nnz - 1) * (col nnz - 1)
   (Markowitz 1957), and a zero-cost pivot is taken at once. Bareiss stays
   exact under this complete pivoting, since it is Bareiss on P A Q;
@@ -106,11 +140,15 @@ from struct import Struct, calcsize
 def det_int(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1).
 
-    Sparse Bareiss with Markowitz pivots and lazy row scaling (module
+    A skew-symmetric input is 0 at odd size and Pf^2 at even size, the
+    Pfaffian from the leaf-peeled sparse elimination; any other input runs
+    sparse Bareiss with Markowitz pivots and lazy row scaling (module
     docstring).
     """
     n = len(rows)
-    live = {i: {c: x for c, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    live = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(rows)}
+    if _is_skew_rows(live):
+        return 0 if n % 2 else _sparse_pfaffian(live) ** 2
     stamp = dict.fromkeys(live, 1)
     where: dict[int, set[int]] = {c: set() for c in range(n)}
     for i, row in live.items():
@@ -171,6 +209,93 @@ def det_int(rows: list[list[int]]) -> int:
         col_order.append(k)
         prev = pv
     return _parity(row_order) * _parity(col_order) * prev
+
+
+def _is_skew_rows(live: dict[int, dict[int, int]]) -> bool:
+    """Whether the dict rows of a square matrix are skew-symmetric: every
+    stored a[i][c] has a[c][i] == -a[i][c], which also rules out a nonzero
+    diagonal entry."""
+    for i, row in live.items():
+        for c, x in row.items():
+            if live[c].get(i) != -x:
+                return False
+    return True
+
+
+def _sparse_pfaffian(live: dict[int, dict[int, int]]) -> int:
+    """Pfaffian, up to sign, of the even-sized skew matrix whose full dict
+    rows are ``live``; the rows are consumed.
+
+    Leaf peels and fraction-free 2 x 2 steps with lazy row stamps (module
+    docstring).
+    """
+    if not all(live.values()):
+        return 0
+    stamp = dict.fromkeys(live, 1)
+    leaves = [i for i, row in live.items() if len(row) == 1]
+    prev = 1
+    num = den = 1
+    while live:
+        if leaves:
+            i = leaves.pop()
+            row = live.get(i)
+            if row is None or len(row) != 1:
+                continue
+            # a leaf: Pf = +-a[i][j] Pf(A without i and j), nothing updated
+            del live[i]
+            ((j, x),) = row.items()
+            num *= x * prev // stamp[i]
+            den *= prev
+            for c in live.pop(j):
+                if c != i:
+                    rc = live[c]
+                    del rc[j]
+                    if len(rc) < 2:
+                        if not rc:
+                            return 0
+                        leaves.append(c)
+            continue
+        # no leaf: a 2 x 2 step on (i, j), i of least degree and j its
+        # lightest neighbour
+        i = min(live, key=lambda k: len(live[k]))
+        P = live.pop(i)
+        j = min(P, key=lambda k: len(live[k]))
+        Q = live.pop(j)
+        t = stamp[i]
+        if t != prev:
+            P = {c: x * prev // t for c, x in P.items()}
+        t = stamp[j]
+        if t != prev:
+            Q = {c: x * prev // t for c, x in Q.items()}
+        a = P.pop(j)
+        del Q[i]
+        for k in P.keys() | Q.keys():
+            old = live[k]
+            t = stamp[k]
+            pk = old.pop(i, 0)
+            qk = old.pop(j, 0)
+            if t == prev:
+                new = {c: x * a for c, x in old.items()}
+            else:
+                pk = pk * prev // t
+                qk = qk * prev // t
+                new = {c: x * prev // t * a for c, x in old.items()}
+            # a'[k][l] = (a a[k][l] + a[k][i] a[j][l] - a[k][j] a[i][l]) / prev
+            if pk:
+                for c, y in Q.items():
+                    new[c] = new.get(c, 0) + pk * y
+            if qk:
+                for c, y in P.items():
+                    new[c] = new.get(c, 0) - qk * y
+            new = {c: x // prev for c, x in new.items() if x and c != k}
+            if len(new) < 2:
+                if not new:
+                    return 0
+                leaves.append(k)
+            live[k] = new
+            stamp[k] = a
+        prev = a
+    return prev * num // den
 
 
 def _parity(order: list[int]) -> int:

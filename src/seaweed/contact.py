@@ -29,7 +29,7 @@ from .liealg import (
     bhat_det,
     squared_identity_holds,
 )
-from .meander import build_meander, components, counts, index_from_counts, orient
+from .meander import Meander, build_meander, components, counts, index_from_counts, orient
 from .meander import index as meander_index
 from .standard_form import (
     BasisLabel,
@@ -264,8 +264,12 @@ def _json_field(data: dict, key: str, kind: type):
 
 def regular_form_from_meander(spec: SeaweedSpec) -> OneForm:
     """One dual unit per directed meander edge: 1 at (i, j) for each v_i -> v_j."""
-    dm = orient(build_meander(spec))
-    return OneForm.from_terms(spec.n, [(e, Fraction(1)) for e in dm.edges()])
+    return _regular_form(build_meander(spec))
+
+
+def _regular_form(m: Meander) -> OneForm:
+    """``regular_form_from_meander`` of the spec whose meander is m."""
+    return OneForm.from_terms(m.n, [(e, Fraction(1)) for e in orient(m).edges()])
 
 
 def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
@@ -291,7 +295,8 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     which always exists in practice though only existence of a gap is
     guaranteed.
     """
-    rep = components(build_meander(spec))
+    meander = build_meander(spec)
+    rep = components(meander)
     if rep.C != 0 or rep.P != 2:
         raise WrongCaseError(
             f"{spec.text()}: {rep.C} cycles + {rep.P} paths, need exactly two paths"
@@ -308,7 +313,7 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     )
     checked = check_basis(spec, basis)
 
-    fbar = regular_form_from_meander(spec)
+    fbar = _regular_form(meander)
     # ker B_phi = span(H) iff H's column (hence row: B_phi is skew) is 0 and det C' != 0
     h = basis.index(H)
     _, sB, _ = checked.scaled_form(fbar.as_dict())

@@ -4,10 +4,11 @@ Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
 lifting happens on integer matrices (each row scaled by its denominator lcm,
 which changes neither rank nor kernel and scales det by a known factor) inside
 ``seaweed._kernels``. ``RatMatrix`` stores every entry, but ``det``
-eliminates on the nonzeros only (``_kernels.det_int`` is sparse fraction-free
-Bareiss with Markowitz pivots), so a sparse determinant costs far less than a
-dense one of the same size. ``rank`` of a skew-symmetric matrix without
-denominators runs the 2 x 2-pivot skew elimination behind
+eliminates on the nonzeros only (``_kernels.det_int`` is a sparse Pfaffian
+squared when the integer rows are skew-symmetric, sparse fraction-free
+Bareiss with Markowitz pivots otherwise), so a sparse determinant costs far
+less than a dense one of the same size. ``rank`` of a skew-symmetric matrix
+without denominators runs the 2 x 2-pivot skew elimination behind
 ``_kernels.rank_int``; any other rank, and inverse and kernel, run dense
 Bareiss.
 ``_clear_denominators`` is the one place in the package that turns Fractions

@@ -289,6 +289,11 @@ def bhat_det(L, phi) -> Fraction:
     the determinant is a perfect square and vanishes exactly when phi fails
     to be a contact form). It is assembled once, in integers, as s times
     the bordered matrix, whose determinant is s^(d+1) times the answer.
+    That integer matrix is skew too, so ``_kernels.det_int`` returns its
+    determinant as Pf^2, the Pfaffian from a sparse elimination that peels
+    rows with one nonzero and otherwise takes fraction-free 2 x 2 steps;
+    its Bareiss path serves only input that is not skew, such as
+    ``check_basis``'s h-coordinates.
 
     Either presentation of an algebra works: a ``LieAlgebra`` with phi as a
     ``CoeffForm`` (its structure table contracted with phi), or a checked

@@ -209,6 +209,21 @@ def test_two_path_kernel_is_h_line():
             assert ker[0] == expected, sp.text()
 
 
+def test_case1_builds_the_meander_once(monkeypatch):
+    built = []
+
+    def counting(sp):
+        built.append(sp)
+        return build_meander(sp)
+
+    monkeypatch.setattr(seaweed.contact, "build_meander", counting)
+    cert = case1_contact(spec("1|3|3 / 7"))
+    assert built == [spec("1|3|3 / 7")]
+    assert cert.form == regular_form_from_meander(spec("1|3|3 / 7")).plus(
+        OneForm.from_terms(7, {(k, k): 1 for k in range(1, cert.auxiliary["diag_index"] + 1)})
+    )
+
+
 @pytest.mark.parametrize(
     "text, joining_unit", [("1|3|3 / 7", (1, 4)), ("1|4 / 3|1|1", (1, 2))]
 )
@@ -216,14 +231,15 @@ def test_case1_rejects_regular_form_that_does_not_kill_only_h(
     monkeypatch, text, joining_unit
 ):
     # The zero form kills everything; adding the dual of a unit that joins the
-    # two paths gives a form whose kernel is no longer the H line.
-    real = regular_form_from_meander
+    # two paths gives a form whose kernel is no longer the H line. case1_contact
+    # reads the regular form off the meander it already built.
+    real = seaweed.contact._regular_form
     forms = [
-        lambda sp: OneForm.from_terms(sp.n, []),
-        lambda sp: real(sp).plus(OneForm.from_terms(sp.n, {joining_unit: 1})),
+        lambda m: OneForm.from_terms(m.n, []),
+        lambda m: real(m).plus(OneForm.from_terms(m.n, {joining_unit: 1})),
     ]
     for fake in forms:
-        monkeypatch.setattr(seaweed.contact, "regular_form_from_meander", fake)
+        monkeypatch.setattr(seaweed.contact, "_regular_form", fake)
         with pytest.raises(TheoremViolationError, match="does not kill exactly the H line"):
             case1_contact(spec(text))
 
@@ -417,6 +433,95 @@ def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
         coeffs = dual_matrix_to_coeffs(cert.spec, cert.basis, cert.form.as_dict())
         assert bhat_det(materialize(cert.spec, cert.basis), coeffs) == cert.det_value
         assert not verify_certificate(cert), cert.spec.text()
+
+
+def _label_matrix(label, n):
+    """A basis label as a sparse n x n matrix {(i, j): entry}, 1-based."""
+    if isinstance(label, MatrixUnit):
+        return {(label.i, label.j): Fraction(1)}
+    if isinstance(label, DiagDiff):
+        return {(label.i, label.i): Fraction(1), (label.i + 1, label.i + 1): Fraction(-1)}
+    return {(k, k): x for k, x in enumerate(label.entries, 1) if x}
+
+
+def _bracket(x, y):
+    out = {}
+    for (a, b), u in x.items():
+        for (c, d), v in y.items():
+            if b == c:
+                out[(a, d)] = out.get((a, d), 0) + u * v
+            if d == a:
+                out[(c, b)] = out.get((c, b), 0) - u * v
+    return out
+
+
+def _gauss_det(rows):
+    """Gaussian elimination over Fractions, first nonzero entry as pivot."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k, len(a)):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def _reference(cert):
+    """(bordered det, factors) from matrices built here: phi(M) = sum W_ij
+    M_ij on the certificate's basis, the determinant by Fraction elimination,
+    and whether det = phi(H)^2 det C' holds (always True but for TwoPaths)."""
+    n = cert.spec.n
+    w = cert.form.as_dict()
+    mats = [_label_matrix(b, n) for b in cert.basis]
+
+    def phi(m):
+        return sum((w.get(pos, 0) * x for pos, x in m.items()), Fraction(0))
+
+    vals = [phi(m) for m in mats]
+    B = [[phi(_bracket(x, y)) for y in mats] for x in mats]
+    ref = _gauss_det([[0, *vals]] + [[-v, *row] for v, row in zip(vals, B)])
+    if cert.case != "TwoPaths":
+        return ref, True
+    (h,) = [k for k, b in enumerate(cert.basis) if isinstance(b, CustomDiagonal)]
+    minor = [row[:h] + row[h + 1 :] for k, row in enumerate(B) if k != h]
+    return ref, vals[h] ** 2 * _gauss_det(minor) == ref
+
+
+def test_verify_matches_a_reference_on_every_single_entry_mutation():
+    # Every index-one spec with n <= 5. A stored det off by one is rejected.
+    # A form with one dual-matrix entry raised by 1 passes exactly when the
+    # reference determinant is nonzero, is the stored one and, for TwoPaths,
+    # still factors; with the stored det replaced by the reference's, the
+    # same form passes exactly when that det is nonzero and factors.
+    mutations = 0
+    for n in range(1, 6):
+        for sp in spec_pairs(n):
+            if meander_index(sp) != 1:
+                continue
+            cert = synthesize_contact(sp)
+            assert _reference(cert) == (cert.det_value, True), sp.text()
+            for delta in (1, -1):
+                off = dataclasses.replace(cert, det_value=cert.det_value + delta)
+                assert not verify_certificate(off), sp.text()
+            for pos, _ in cert.form.entries:
+                form = cert.form.plus(OneForm.from_terms(n, {pos: Fraction(1)}))
+                mutated = dataclasses.replace(cert, form=form)
+                ref, factors = _reference(mutated)
+                expected = ref != 0 and ref == cert.det_value and factors
+                assert verify_certificate(mutated) is expected, (sp.text(), pos)
+                restamped = dataclasses.replace(mutated, det_value=ref)
+                expected = ref != 0 and factors
+                assert verify_certificate(restamped) is expected, (sp.text(), pos)
+                mutations += 1
+    assert mutations == 461
 
 
 def forged_sl3_certificate():

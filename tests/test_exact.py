@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seaweed
@@ -298,6 +298,123 @@ def test_sparse_det_matches_independent_references(case):
     assert rows == snapshot
 
 
+weight = st.integers(-5, 5).filter(bool)
+
+
+def _skew_from_edges(draw, n, edges):
+    """The n x n skew matrix with a drawn nonzero a[i][j] = -a[j][i] on each edge."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        x = draw(weight)
+        rows[i][j] = x
+        rows[j][i] = -x
+    return rows
+
+
+@st.composite
+def tree_skew(draw):
+    """A forest's weighted adjacency: a row with one nonzero always exists,
+    so every pivot is a peel."""
+    n = draw(st.integers(0, 20))
+    edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n) if draw(st.integers(0, 9))]
+    return _skew_from_edges(draw, n, edges)
+
+
+@st.composite
+def leafless_skew(draw):
+    """A cycle through every index plus chords: every row starts with two
+    or more nonzeros, so the elimination opens with 2 x 2 steps."""
+    n = draw(st.integers(3, 16))
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if (j, i) not in edges:
+            edges.add((i, j))
+    return _skew_from_edges(draw, n, sorted(edges))
+
+
+@st.composite
+def bridged_triangles_skew(draw):
+    """Triangles {0, 1, 2} and {3, 4, 5} joined by the edge 2-3. The step on
+    a degree-2 pair of one triangle leaves its third index a leaf; peeling
+    it with 3 (or 2) leaves the other triangle's two stale rows as leaves."""
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+    return _skew_from_edges(draw, 6, edges)
+
+
+@st.composite
+def low_rank_skew(draw):
+    """Sum of r < n/2 terms u v^T - v u^T, an even-sized skew matrix of rank
+    at most 2r < n, so det = 0."""
+    n = 2 * draw(st.integers(2, 6))
+    rows = [[0] * n for _ in range(n)]
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    for _ in range(draw(st.integers(1, n // 2 - 1))):
+        u, v = draw(vec), draw(vec)
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += u[i] * v[j] - v[i] * u[j]
+    return rows
+
+
+SKEW_FAMILIES = {
+    "tree": tree_skew(),
+    "leafless": leafless_skew(),
+    "triangles": bridged_triangles_skew(),
+    "low_rank": low_rank_skew(),
+}
+
+
+@st.composite
+def skew_det_inputs(draw):
+    """(rows, family): one permutation applied to rows and columns alike, so
+    the matrix stays skew; "near" changes one entry of a skew matrix, which
+    leaves it not skew."""
+    family = draw(st.sampled_from([*SKEW_FAMILIES, "near"]))
+    if family == "near":
+        rows = draw(st.one_of(tree_skew(), leafless_skew()))
+        assume(rows)
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i][j] += draw(weight)
+    else:
+        rows = draw(SKEW_FAMILIES[family])
+    n = len(rows)
+    perm = draw(st.permutations(range(n)))
+    return [[rows[i][j] for j in perm] for i in perm], family
+
+
+def _is_skew(rows):
+    return all(rows[i][j] == -rows[j][i] for i in range(len(rows)) for j in range(len(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_det_inputs())
+def test_skew_det_is_the_pfaffian_squared(case):
+    rows, family = case
+    snapshot = [r[:] for r in rows]
+    got = pure.det_int(rows)
+    assert got == reference_det(rows)
+    assert _is_skew(rows) is (family != "near")
+    if family != "near":
+        assert got == 0 if len(rows) % 2 else isqrt(got) ** 2 == got
+    if family == "low_rank":
+        assert got == 0
+    assert rows == snapshot
+
+
+def test_skew_det_peels_a_stale_row_after_a_step():
+    # bridged triangles with a[0][1] = 3: the step on (0, 1) leaves prev = 3,
+    # row 2 a leaf of 3, and rows 3, 4, 5 at stamp 1; after 2 and 3 are
+    # peeled, row 4 or 5 is a leaf whose stored entry is a third of its value
+    rows = [[0] * 6 for _ in range(6)]
+    for (i, j), x in {(0, 1): 3, (0, 2): 1, (1, 2): 2, (2, 3): 5, (3, 4): 1,
+                      (3, 5): -1, (4, 5): 7}.items():
+        rows[i][j] = x
+        rows[j][i] = -x
+    # the only perfect matching is {01, 23, 45}
+    assert pure.det_int(rows) == (3 * 5 * 7) ** 2 == fraction_det(rows)
+
+
 # ---------------------------------------------------------------------------
 # rank kernels: the skew-symmetric elimination and the embedding
 # ---------------------------------------------------------------------------
@@ -496,10 +613,11 @@ def test_rank_mod_matches_exact_rank_on_small_entries():
 
 
 def test_kernels_do_not_mutate_input():
-    rows = [[1, 2], [3, 4]]
-    snapshot = [r[:] for r in rows]
-    pure.det_int(rows)
-    pure.rank_int(rows)
-    pure.echelon_int(rows)
-    pure.rank_mod(rows, 2147483647)
-    assert rows == snapshot
+    skew = [[0, 2, -1, 0], [-2, 0, 3, 1], [1, -3, 0, 4], [0, -1, -4, 0]]
+    for rows in ([[1, 2], [3, 4]], skew):
+        snapshot = [r[:] for r in rows]
+        pure.det_int(rows)
+        pure.rank_int(rows)
+        pure.echelon_int(rows)
+        pure.rank_mod(rows, 2147483647)
+        assert rows == snapshot

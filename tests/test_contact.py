@@ -217,11 +217,8 @@ def test_case1_builds_the_meander_once(monkeypatch):
         return build_meander(sp)
 
     monkeypatch.setattr(seaweed.contact, "build_meander", counting)
-    cert = case1_contact(spec("1|3|3 / 7"))
+    case1_contact(spec("1|3|3 / 7"))
     assert built == [spec("1|3|3 / 7")]
-    assert cert.form == regular_form_from_meander(spec("1|3|3 / 7")).plus(
-        OneForm.from_terms(7, {(k, k): 1 for k in range(1, cert.auxiliary["diag_index"] + 1)})
-    )
 
 
 @pytest.mark.parametrize(

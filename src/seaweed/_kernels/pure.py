@@ -5,14 +5,17 @@ check each kernel against ``Fraction`` elimination and cofactor references.
 Everything here works on plain ``list[list[int]]`` and never mutates its
 arguments.
 
-The elimination scheme is fraction-free (Bareiss): the update
+The elimination scheme is fraction-free (Bareiss 1968): the update
 
     a[i][j] <- (a[i][j] * pivot - a[i][k] * a[k][j]) // prev_pivot
 
 keeps every intermediate entry an exact k x k minor of the input, so the
 division is exact and entries stay integers of bounded size instead of
-exploding into rationals. ``echelon_int`` runs it densely, column by column,
-and so does ``rank_int`` on a matrix that is not skew-symmetric.
+exploding into rationals. One dense loop, ``_bareiss``, runs it column by
+column with row swaps and tracks their sign. It serves ``echelon_int``,
+``rank_int`` on a matrix that is not skew-symmetric, and ``det_int`` on one
+that is not skew: a square matrix with n pivots has det = sign * a[n-1][n-1],
+its last pivot, and any other has det 0.
 
 The index oracle ranks Kirillov matrices, which are skew-symmetric.
 ``rank_int`` and ``rank_mod`` first check that exactly (square, zero
@@ -80,11 +83,12 @@ Giorgi & Pernet 2008):
 ``rank_mod`` ranks a matrix A that is not skew as the skew matrix
 [[0, -A^T], [A, 0]], whose rank is 2 rank A, so one elimination serves both.
 
-``det_int`` works on sparse rows, because the library's determinants are of
-bordered matrices with about two nonzeros per row. Each row becomes a dict
+``det_int`` starts on sparse rows, because the library's determinants are
+of bordered matrices with about two nonzeros per row. Each row becomes a dict
 ``{col: value}`` of its nonzeros once, and the skewness check runs on those
 dicts in O(nnz): every stored a[i][c] needs a[c][i] == -a[i][c], which also
-rules out a nonzero diagonal entry.
+rules out a nonzero diagonal entry. Input that is not skew goes to
+``_bareiss``.
 
 A skew-symmetric input (the bordered matrices [[0, phi^T], [-phi, B_phi]]
 and the TwoPaths minors C') has det 0 at odd size and Pf^2 at even size.
@@ -97,9 +101,11 @@ matrix, so the rows that hold a column are that column's own keys:
   contact determinants are peels;
 - when no leaf is left, one fraction-free 2 x 2 step (the recurrence of
   ``_skew_rank`` below, on the whole row) pivots on a pair (i, j) with i a
-  row of least degree and j its lightest neighbour. A row that holds
-  neither column i nor column j would only be scaled by a / prev; it keeps
-  ``det_int``'s lazy stamp instead (below);
+  row of least degree and j its lightest neighbour;
+- a row that holds neither column i nor column j would only be scaled by
+  a / prev. Those factors telescope, so the row keeps a stamp, the prev it
+  was last exact at, and its true entries are stored * prev // stamp; it is
+  rescaled once, when a later step touches it or it is peeled;
 - exactness: after steps on the pairs of S, each stored entry is
   +-Pf(A[S + {k, l}]) and prev = +-Pf(A[S]); the matrix they stand for is
   the stored one over prev. A peel removes indices without adding them to
@@ -111,23 +117,6 @@ matrix, so the rows that hold a column are that column's own keys:
 
   and that one final division is exact because Pf A is an integer. The
   sign is not tracked, since only Pf^2 is used.
-
-Any other input runs the Bareiss recurrence: ``check_basis``'s
-h-coordinates, and ``exact.det`` of a matrix whose integer rows are not
-skew (clearing denominators row by row breaks the skewness of a rational
-skew matrix unless every row has the same denominator lcm):
-
-- a column -> rows index means a step touches only the rows that hold the
-  pivot column;
-- the pivot minimizes the Markowitz cost (row nnz - 1) * (col nnz - 1)
-  (Markowitz 1957), and a zero-cost pivot is taken at once. Bareiss stays
-  exact under this complete pivoting, since it is Bareiss on P A Q;
-- a row without an entry in the pivot column would only be scaled by
-  pivot / prev_pivot. Those factors telescope, so the row keeps a stamp, the
-  pivot it was last exact at, and its true entries are stored * prev // stamp;
-  it is rescaled once, when a later step touches it;
-- det A = sign(row pivot order) * sign(column pivot order) * last pivot, and
-  a row emptied by elimination means det A = 0.
 """
 from __future__ import annotations
 
@@ -142,73 +131,14 @@ def det_int(rows: list[list[int]]) -> int:
 
     A skew-symmetric input is 0 at odd size and Pf^2 at even size, the
     Pfaffian from the leaf-peeled sparse elimination; any other input runs
-    sparse Bareiss with Markowitz pivots and lazy row scaling (module
-    docstring).
+    the dense Bareiss loop, det = swap sign * last pivot (module docstring).
     """
     n = len(rows)
     live = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(rows)}
     if _is_skew_rows(live):
         return 0 if n % 2 else _sparse_pfaffian(live) ** 2
-    stamp = dict.fromkeys(live, 1)
-    where: dict[int, set[int]] = {c: set() for c in range(n)}
-    for i, row in live.items():
-        if not row:
-            return 0
-        for c in row:
-            where[c].add(i)
-    row_order: list[int] = []
-    col_order: list[int] = []
-    prev = 1
-    while live:
-        best = None
-        for i, row in live.items():
-            rn = len(row) - 1
-            for c in row:
-                cost = rn * (len(where[c]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, c)
-                    if not cost:
-                        break
-            if not best[0]:
-                break
-        _, r, k = best
-        # a stored row times prev // stamp is its current Bareiss row
-        piv = live.pop(r)
-        t = stamp[r]
-        if t != prev:
-            piv = {c: x * prev // t for c, x in piv.items()}
-        pv = piv.pop(k)
-        for c in piv:
-            where[c].discard(r)
-        for i in where.pop(k) - {r}:
-            row = live[i]
-            f = row.pop(k)
-            t = stamp[i]
-            if t == prev:
-                row = {c: x * pv for c, x in row.items()}
-            else:
-                f = f * prev // t
-                row = {c: x * prev // t * pv for c, x in row.items()}
-            for c, x in piv.items():
-                y = row.get(c)
-                if y is None:
-                    row[c] = -f * x
-                    where[c].add(i)
-                else:
-                    y -= f * x
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
-                        where[c].discard(i)
-            if not row:
-                return 0
-            live[i] = {c: x // prev for c, x in row.items()}
-            stamp[i] = pv
-        row_order.append(r)
-        col_order.append(k)
-        prev = pv
-    return _parity(row_order) * _parity(col_order) * prev
+    a, pivots, sign = _bareiss(rows)
+    return sign * a[-1][-1] if len(pivots) == n else 0
 
 
 def _is_skew_rows(live: dict[int, dict[int, int]]) -> bool:
@@ -298,22 +228,15 @@ def _sparse_pfaffian(live: dict[int, dict[int, int]]) -> int:
     return prev * num // den
 
 
-def _parity(order: list[int]) -> int:
-    """Sign of the permutation k -> order[k]."""
-    sign = 1
-    seen = [False] * len(order)
-    for k in range(len(order)):
-        j = k
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            if not seen[j]:
-                sign = -sign
-    return sign
-
-
 def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form and the list of pivot columns.
+    """Fraction-free row echelon form and the list of pivot columns."""
+    a, pivots, _ = _bareiss(rows)
+    return a, pivots
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """(echelon form, pivot columns, sign of the row swaps) of the dense
+    Bareiss elimination.
 
     Column skipping preserves the exact-division property: a skipped column is
     zero below the current row from that point on, so the elimination is the
@@ -323,27 +246,33 @@ def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     n = len(a)
     m = len(a[0]) if n else 0
     pivots: list[int] = []
+    sign = 1
     r = 0
     prev = 1
     for c in range(m):
         piv = next((i for i in range(r, n) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        rowr = a[r]
-        pv = rowr[c]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pv = a[r][c]
+        tail = a[r][c + 1 :]
         for i in range(r + 1, n):
             rowi = a[i]
             f = rowi[c]
-            for j in range(c + 1, m):
-                rowi[j] = (rowi[j] * pv - f * rowr[j]) // prev
-            rowi[c] = 0
+            if f:
+                rowi[c + 1 :] = [(x * pv - f * y) // prev for x, y in zip(rowi[c + 1 :], tail)]
+                rowi[c] = 0
+            elif pv != prev:
+                # the update with f = 0 only scales the row
+                rowi[c + 1 :] = [x * pv // prev for x in rowi[c + 1 :]]
         prev = pv
         pivots.append(c)
         r += 1
         if r == n:
             break
-    return a, pivots
+    return a, pivots, sign
 
 
 def rank_int(rows: list[list[int]]) -> int:

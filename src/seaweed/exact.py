@@ -1,16 +1,14 @@
 """Exact rational linear algebra on matrices of Fractions.
 
 Determinant, rank, inverse and kernel over Q, exact at every step. The heavy
-lifting happens on integer matrices (each row scaled by its denominator lcm,
-which changes neither rank nor kernel and scales det by a known factor) inside
-``seaweed._kernels``. ``RatMatrix`` stores every entry, but ``det``
-eliminates on the nonzeros only (``_kernels.det_int`` is a sparse Pfaffian
-squared when the integer rows are skew-symmetric, sparse fraction-free
-Bareiss with Markowitz pivots otherwise), so a sparse determinant costs far
-less than a dense one of the same size. ``rank`` of a skew-symmetric matrix
-without denominators runs the 2 x 2-pivot skew elimination behind
-``_kernels.rank_int``; any other rank, and inverse and kernel, run dense
-Bareiss.
+lifting happens on integer matrices inside ``seaweed._kernels``: the whole
+matrix is scaled by the lcm of all its denominators, which changes neither
+rank nor kernel, scales an n x n det by den^n, and keeps a skew-symmetric
+matrix skew. ``det`` of a skew-symmetric matrix is a sparse Pfaffian squared
+(``_kernels.det_int``), so a sparse skew determinant costs far less than a
+dense one of the same size, and ``rank`` of one runs the 2 x 2-pivot skew
+elimination behind ``_kernels.rank_int``. Any other det or rank, and inverse
+and kernel, run the one dense fraction-free Bareiss loop.
 ``_clear_denominators`` is the one place in the package that turns Fractions
 into integers and a common denominator. Within the library ``RatMatrix``
 serves only ``materialize``'s inverse, which the index oracle and the other
@@ -86,22 +84,17 @@ def _clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
 
 
 def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns (int rows, det scale factor)."""
-    out: list[list[int]] = []
-    scale = 1
-    for i in range(m.rows):
-        ints, den = _clear_denominators(m.row(i))
-        out.append(ints)
-        scale *= den
-    return out, scale
+    """(den * m as int rows, den), den the lcm of all of m's denominators."""
+    ints, den = _clear_denominators(m.entries)
+    return [ints[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
 
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant. Raises ValueError on non-square input."""
     if not m.is_square():
         raise ValueError(f"determinant of non-square matrix {m.rows} x {m.cols}")
-    rows, scale = _integer_rows(m)
-    return Fraction(_kernels.det_int(rows), scale)
+    rows, den = _integer_rows(m)
+    return Fraction(_kernels.det_int(rows), den ** m.rows)
 
 
 def rank(m: RatMatrix) -> int:
@@ -122,10 +115,9 @@ def inverse(m: RatMatrix) -> RatMatrix | None:
     if not m.is_square():
         raise ValueError(f"inverse of non-square matrix {m.rows} x {m.cols}")
     n = m.rows
-    aug = []  # [m | I] with each row's denominators cleared
-    for i in range(n):
-        ints, den = _clear_denominators(m.row(i))
-        aug.append(ints + [den if j == i else 0 for j in range(n)])
+    rows, den = _integer_rows(m)
+    # den * [m | I]
+    aug = [row + [den if j == i else 0 for j in range(n)] for i, row in enumerate(rows)]
     ech, pivots = _kernels.echelon_int(aug)
     if pivots != list(range(n)):
         return None

@@ -291,9 +291,9 @@ def bhat_det(L, phi) -> Fraction:
     the bordered matrix, whose determinant is s^(d+1) times the answer.
     That integer matrix is skew too, so ``_kernels.det_int`` returns its
     determinant as Pf^2, the Pfaffian from a sparse elimination that peels
-    rows with one nonzero and otherwise takes fraction-free 2 x 2 steps;
-    its Bareiss path serves only input that is not skew, such as
-    ``check_basis``'s h-coordinates.
+    rows with one nonzero and otherwise takes fraction-free 2 x 2 steps.
+    Only input that is not skew, such as ``check_basis``'s h-coordinates,
+    runs the kernels' one dense Bareiss loop.
 
     Either presentation of an algebra works: a ``LieAlgebra`` with phi as a
     ``CoeffForm`` (its structure table contracted with phi), or a checked

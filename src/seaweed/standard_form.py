@@ -297,18 +297,34 @@ def label_to_json(label: BasisLabel) -> dict:
 
 
 def label_from_json(data: dict) -> BasisLabel:
+    """The label of ``label_to_json``'s object. A field of another JSON type
+    raises ``ValueError``; the int checks are on the exact type, so a bool
+    is no int."""
     if not isinstance(data, dict):
         raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
     if "unit" in data:
-        i, j = data["unit"]
-        return MatrixUnit(i, j)
+        unit = data["unit"]
+        if not (type(unit) is list and list(map(type, unit)) == [int, int]):
+            raise ValueError(f"a unit label must be a list of two ints, not {unit!r}")
+        return MatrixUnit(*unit)
     if "diagdiff" in data:
-        return DiagDiff(data["diagdiff"])
+        i = data["diagdiff"]
+        if type(i) is not int:
+            raise ValueError(f"a diagdiff label must be an int, not {i!r}")
+        return DiagDiff(i)
     if "diag" in data:
-        return CustomDiagonal(
-            data["diag"]["name"],
-            tuple(Fraction(s) for s in data["diag"]["entries"]),
-        )
+        diag = data["diag"] if isinstance(data["diag"], dict) else {}
+        name, entries = diag.get("name"), diag.get("entries")
+        if not (
+            isinstance(name, str)
+            and isinstance(entries, list)
+            and all(isinstance(x, str) for x in entries)
+        ):
+            raise ValueError(
+                "a diag label must hold a string name and a list of string entries, "
+                f"not {data['diag']!r}"
+            )
+        return CustomDiagonal(name, tuple(Fraction(x) for x in entries))
     raise ValueError(f"unrecognized basis label {data!r}")
 
 

@@ -284,19 +284,58 @@ def test_verify_explains_a_dense_form(capsys, tmp_path):
     assert "verification FAILED" in err
 
 
+def _swap_label(old, new):
+    """The edit of a basis that puts label ``new`` in place of ``old``."""
+    return lambda basis: [new if label == old else label for label in basis]
+
+
+def _rename_key(old, new):
+    """The edit of a dual matrix that files ``old``'s entry under ``new``."""
+    return lambda entries: {new if k == old else k: v for k, v in entries.items()}
+
+
+_H1 = {"name": "h1", "entries": ["1", "-1", "0", "0", "0", "0", "0", "0"]}
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
         ("dual_matrix", [["8,3", "1"]], "field 'dual_matrix' must be an object, not list"),
         ("spec", 8, "field 'spec' must be a string, not int"),
+        # a bool is no int, though True == 1 would read as the unit (1, 2)
+        ("basis", _swap_label({"unit": [1, 2]}, {"unit": [True, 2]}),
+         "a unit label must be a list of two ints, not [True, 2]"),
+        ("basis", _swap_label({"unit": [1, 2]}, {"unit": "12"}),
+         "a unit label must be a list of two ints, not '12'"),
+        ("basis", _swap_label({"diagdiff": 3}, {"diagdiff": "3"}),
+         "a diagdiff label must be an int, not '3'"),
+        ("basis", _swap_label({"diagdiff": 2}, {"diagdiff": 2.0}),
+         "a diagdiff label must be an int, not 2.0"),
+        ("basis", _swap_label({"diagdiff": 1}, {"diag": {**_H1, "name": 1}}),
+         "a diag label must hold a string name and a list of string entries, "
+         f"not {({**_H1, 'name': 1})!r}"),
+        ("basis", _swap_label({"diagdiff": 1}, {"diag": {**_H1, "entries": [1, -1, 0, 0, 0, 0, 0, 0]}}),
+         "a diag label must hold a string name and a list of string entries, "
+         f"not {({**_H1, 'entries': [1, -1, 0, 0, 0, 0, 0, 0]})!r}"),
+        # int() would read these keys as (8, 3)
+        ("dual_matrix", _rename_key("8,3", "0_8,3"),
+         "dual_matrix key '0_8,3' must be two decimal ints 'i,j'"),
+        ("dual_matrix", _rename_key("8,3", "8, 3"),
+         "dual_matrix key '8, 3' must be two decimal ints 'i,j'"),
+        ("dual_matrix", _rename_key("8,3", "8,3,1"),
+         "dual_matrix key '8,3,1' must be two decimal ints 'i,j'"),
     ],
-    ids=["dual-matrix-list", "spec-number"],
+    ids=[
+        "dual-matrix-list", "spec-number", "unit-bool", "unit-string", "diagdiff-string",
+        "diagdiff-float", "diag-name-number", "diag-entries-numbers", "key-underscore",
+        "key-space", "key-three-parts",
+    ],
 )
 def test_verify_mistyped_field_is_unreadable(capsys, tmp_path, field, value, message):
     path = tmp_path / "cert.json"
     run(capsys, "contact", "2|6 / 8", "--out", str(path))
     data = json.loads(path.read_text())
-    data[field] = value
+    data[field] = value(data[field]) if callable(value) else value
     path.write_text(json.dumps(data))
     rc, out, err = run(capsys, "verify", str(path))
     assert rc == 2 and out == ""

@@ -81,11 +81,11 @@ def test_det_matches_cofactor_expansion(rows):
     assert det(RatMatrix.from_rows(rows)) == cofactor_det(rows)
 
 
-def _random_skew(rng, n, bound=50):
+def _random_skew(rng, n, bound=50, max_den=1):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(rng.randint(-bound, bound))
+            v = Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
             rows[i][j] = v
             rows[j][i] = -v
     return rows
@@ -106,6 +106,23 @@ def test_skew_even_determinant_is_a_perfect_square():
             assert d >= 0
             assert isqrt(d.numerator) ** 2 == d.numerator
             assert isqrt(d.denominator) ** 2 == d.denominator
+
+
+def test_rational_skew_matrix_takes_the_skew_kernels(monkeypatch):
+    # one common denominator keeps the integer rows skew, so det and rank
+    # never reach the dense Bareiss loop
+    def dense(rows):
+        raise AssertionError("dense Bareiss on a skew matrix")
+
+    monkeypatch.setattr(pure, "_bareiss", dense)
+    monkeypatch.setattr(pure, "echelon_int", dense)
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for _ in range(4):
+            rows = _random_skew(rng, n, bound=9, max_den=4)
+            m = RatMatrix.from_rows(rows)
+            assert det(m) == cofactor_det(rows)
+            assert rank(m) == fraction_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +255,26 @@ def sparse_rows(draw, n):
     return rows
 
 
+@st.composite
+def permuted_diagonal_rows(draw, n):
+    """P D for a permutation matrix P and a nonzero diagonal D: the dense
+    Bareiss loop swaps rows at up to n - 1 steps."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        rows[i][j] = draw(st.integers(-(10**6), 10**6).filter(bool))
+    return rows
+
+
+@st.composite
+def triangular_rows(draw, n):
+    """Upper triangular with a nonzero diagonal; ``det_inputs``' row
+    permutation then puts its pivot rows out of order."""
+    rows = [[draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(small.filter(bool))
+    return rows
+
+
 def dense_rows(n):
     big = st.integers(-(10**6), 10**6)
     return st.lists(st.lists(big, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -278,6 +315,8 @@ def det_inputs(draw):
             st.integers(0, 12).flatmap(dense_rows).map(lambda r: (r, False)),
             st.integers(2, 25).flatmap(bordered_skew_rows).map(lambda r: (r, False)),
             st.integers(2, 14).flatmap(singular_rows).map(lambda r: (r, True)),
+            st.integers(1, 12).flatmap(permuted_diagonal_rows).map(lambda r: (r, False)),
+            st.integers(1, 12).flatmap(triangular_rows).map(lambda r: (r, False)),
         )
     )
     n = len(rows)
@@ -506,6 +545,7 @@ def test_rank_kernels_match_fraction_rank(case):
     assert pure._is_skew(rows) == skew
     expected = fraction_rank(rows)
     assert pure.rank_int(rows) == expected
+    assert len(pure.echelon_int(rows)[1]) == expected
     assert pure.rank_mod(rows, MOD_PRIME) == expected
     assert rows == snapshot
 

@@ -88,7 +88,9 @@ of bordered matrices with about two nonzeros per row. Each row becomes a dict
 ``{col: value}`` of its nonzeros once, and the skewness check runs on those
 dicts in O(nnz): every stored a[i][c] needs a[c][i] == -a[i][c], which also
 rules out a nonzero diagonal entry. Input that is not skew goes to
-``_bareiss``.
+``_bareiss``; in the library that is ``check_basis``'s minor of custom
+diagonals' h-coordinates (none for the standard basis) and ``exact.det``
+of a matrix that is not skew.
 
 A skew-symmetric input (the bordered matrices [[0, phi^T], [-phi, B_phi]]
 and the TwoPaths minors C') has det 0 at odd size and Pf^2 at even size.

@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels
@@ -40,6 +41,7 @@ from .standard_form import (
     MatrixUnit,
     SeaweedSpec,
     check_basis,
+    fraction_from_json,
     label_from_json,
     label_to_json,
     seaweed_dim,
@@ -153,7 +155,8 @@ class OneForm:
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in items:
             key = (int(i), int(j))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
+            value = Fraction(c)
+            acc[key] = acc[key] + value if key in acc else value
         ent = tuple(sorted((pos, c) for pos, c in acc.items() if c != 0))
         return cls(n, ent)
 
@@ -202,21 +205,31 @@ class ContactCertificate:
     auxiliary: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        data = {
-            "spec": self.spec.text(),
-            "case": self.case,
-            "basis": [label_to_json(b) for b in self.basis],
-            "dual_matrix": {f"{i},{j}": str(c) for (i, j), c in self.form.entries},
-            "k": None if self.k is None else str(self.k),
-            "det": str(self.det_value),
-            "auxiliary": self.auxiliary,
-        }
-        return json.dumps(data, indent=2)
+        """The certificate as indented JSON, byte for byte what
+        ``json.dumps(data, indent=2)`` writes for the object with the fields
+        below. The layout is fixed, so it is written directly; a unit's or
+        h(i)'s text comes from ``_label_text``'s bounded cache."""
+        basis = ",\n    ".join(map(_label_text, self.basis))
+        duals = ",\n    ".join(f'"{i},{j}": "{c}"' for (i, j), c in self.form.entries)
+        k = "null" if self.k is None else f'"{self.k}"'
+        auxiliary = json.dumps(self.auxiliary, indent=2).replace("\n", "\n  ")
+        return (
+            "{\n"
+            f'  "spec": {json.dumps(self.spec.text())},\n'
+            f'  "case": {json.dumps(self.case)},\n'
+            f'  "basis": {_json_items("[", basis, "]")},\n'
+            f'  "dual_matrix": {_json_items("{", duals, "}")},\n'
+            f'  "k": {k},\n'
+            f'  "det": "{self.det_value}",\n'
+            f'  "auxiliary": {auxiliary}\n'
+            "}"
+        )
 
     @classmethod
     def from_json(cls, text: str | dict) -> "ContactCertificate":
         """Read what ``to_json`` writes. A missing field raises KeyError. A
-        field of another JSON type, or a k that does not fit the case (a
+        field of another JSON type, a fraction in another form than
+        ``str(Fraction)`` writes, or a k that does not fit the case (a
         string for OneCycle, null otherwise), raises ValueError."""
         data = json.loads(text) if isinstance(text, str) else text
         _check_json_type("certificate", data, dict)
@@ -224,11 +237,12 @@ class ContactCertificate:
         case = _json_field(data, "case", str)
         terms = []
         for key, val in _json_field(data, "dual_matrix", dict).items():
-            _check_json_type(f"dual_matrix entry {key!r}", val, str)
+            what = f"dual_matrix entry {key!r}"
+            _check_json_type(what, val, str)
             ij = _DUAL_MATRIX_KEY.fullmatch(key)
             if ij is None:
                 raise ValueError(f"dual_matrix key {key!r} must be two decimal ints 'i,j'")
-            terms.append(((int(ij[1]), int(ij[2])), Fraction(val)))
+            terms.append(((int(ij[1]), int(ij[2])), fraction_from_json(val, what)))
         k = data.get("k")
         if case == "OneCycle":
             _check_json_type("OneCycle field 'k'", k, str)
@@ -239,10 +253,36 @@ class ContactCertificate:
             case=case,
             basis=tuple(label_from_json(b) for b in _json_field(data, "basis", list)),
             form=OneForm.from_terms(spec.n, terms),
-            k=None if k is None else Fraction(k),
-            det_value=Fraction(_json_field(data, "det", str)),
+            k=None if k is None else fraction_from_json(k, "field 'k'"),
+            det_value=fraction_from_json(_json_field(data, "det", str), "field 'det'"),
             auxiliary=_json_field(data, "auxiliary", dict) if "auxiliary" in data else {},
         )
+
+
+def _json_items(open_: str, items: str, close: str) -> str:
+    """A JSON array or object at depth 1 of ``to_json``'s indent-2 layout,
+    from its items already joined at depth 2."""
+    return f"{open_}\n    {items}\n  {close}" if items else open_ + close
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _simple_label_text(kind: type, *fields: int) -> str:
+    """``_label_text`` of the unit or h(i) ``kind(*fields)``."""
+    return json.dumps(label_to_json(kind(*fields)), indent=2).replace("\n", "\n    ")
+
+
+def _label_text(label: BasisLabel) -> str:
+    """A basis label's JSON text at depth 2 of ``to_json``'s layout. Units and
+    h(i) come from a cache bounded at 4,096 labels, which holds every one
+    with indices up to 64. It is keyed on the label's ints and their exact
+    types, so a bool, which equals an int but is written true or false, gets
+    its own text. A custom diagonal is written each time."""
+    kind = type(label)
+    if kind is MatrixUnit:
+        return _simple_label_text(kind, label.i, label.j)
+    if kind is DiagDiff:
+        return _simple_label_text(kind, label.i)
+    return json.dumps(label_to_json(label), indent=2).replace("\n", "\n    ")
 
 
 # two ASCII decimal ints, as ``to_json`` writes a dual-matrix key

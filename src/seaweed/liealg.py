@@ -292,8 +292,9 @@ def bhat_det(L, phi) -> Fraction:
     That integer matrix is skew too, so ``_kernels.det_int`` returns its
     determinant as Pf^2, the Pfaffian from a sparse elimination that peels
     rows with one nonzero and otherwise takes fraction-free 2 x 2 steps.
-    Only input that is not skew, such as ``check_basis``'s h-coordinates,
-    runs the kernels' one dense Bareiss loop.
+    Only input that is not skew, such as the minor of custom diagonals'
+    h-coordinates that ``check_basis`` takes, runs the kernels' one dense
+    Bareiss loop.
 
     Either presentation of an algebra works: a ``LieAlgebra`` with phi as a
     ``CoeffForm`` (its structure table contracted with phi), or a checked

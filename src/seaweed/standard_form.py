@@ -15,6 +15,7 @@ output; positions into a basis list are plain 0-based Python indices.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +45,7 @@ __all__ = [
     "label_str",
     "label_to_json",
     "label_from_json",
+    "fraction_from_json",
     "compositions",
     "spec_pairs",
 ]
@@ -297,11 +299,14 @@ def label_to_json(label: BasisLabel) -> dict:
 
 
 def label_from_json(data: dict) -> BasisLabel:
-    """The label of ``label_to_json``'s object. A field of another JSON type
-    raises ``ValueError``; the int checks are on the exact type, so a bool
-    is no int."""
+    """The label of ``label_to_json``'s object. An object without exactly one
+    key, or a field of another JSON type, raises ``ValueError``; the int
+    checks are on the exact type, so a bool is no int, and a custom
+    diagonal's entries must be fractions as ``str(Fraction)`` writes them."""
     if not isinstance(data, dict):
         raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
+    if len(data) != 1:
+        raise ValueError(f"a basis label must hold exactly one key, not {data!r}")
     if "unit" in data:
         unit = data["unit"]
         if not (type(unit) is list and list(map(type, unit)) == [int, int]):
@@ -324,8 +329,34 @@ def label_from_json(data: dict) -> BasisLabel:
                 "a diag label must hold a string name and a list of string entries, "
                 f"not {data['diag']!r}"
             )
-        return CustomDiagonal(name, tuple(Fraction(x) for x in entries))
+        what = f"an entry of diag label {name!r}"
+        return CustomDiagonal(name, tuple(fraction_from_json(x, what) for x in entries))
     raise ValueError(f"unrecognized basis label {data!r}")
+
+
+# a fraction as str(Fraction) writes it: a decimal int, or p/q in lowest
+# terms with q >= 2; ASCII digits, no leading zeros, no sign on 0
+_FRACTION = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+
+
+def fraction_from_json(text: str, what: str) -> Fraction:
+    """The Fraction whose ``str`` is ``text``. Any other spelling of a
+    number, such as "1.0", "2/4", "-0" or "1/0", raises ``ValueError``
+    naming ``what``, so a certificate that reads also re-serializes to its
+    own bytes."""
+    m = _FRACTION.fullmatch(text)
+    if m is not None:
+        num, den = m.groups()
+        if den is None:
+            if num != "-0":
+                return Fraction(int(num))
+        elif den != "1":
+            value = Fraction(int(num), int(den))
+            if value.denominator == int(den):  # lowest terms, and num != 0
+                return value
+    raise ValueError(
+        f"{what} must be a fraction as str(Fraction) writes it, such as '-3/4', not {text!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +499,17 @@ def check_basis(
 ) -> SeaweedBasis:
     """The given (or standard) basis of the seaweed, checked to be a full one.
 
-    It needs seaweed_dim(spec) labels, every unit admissible and listed once,
-    and diagonal labels that form a basis of the traceless diagonals (their
-    h-coordinates have a nonzero determinant). Anything else raises
-    SpanError; a label out of range for n raises ValueError.
+    It needs seaweed_dim(spec) labels, every unit admissible (its two
+    vertices in one block of the side that owns its triangle) and listed
+    once, and diagonal labels that form a basis of the traceless diagonals.
+    h(i) has h-coordinates e_i, so that holds exactly when the h(i) are
+    distinct and the custom diagonals' h-coordinates, restricted to the
+    coordinates no h(i) covers, have a nonzero determinant; for the standard
+    basis no determinant runs. Anything else raises SpanError; a label out
+    of range for n raises ValueError.
     """
     n = spec.n
-    standard = standard_basis(spec)
-    labels = tuple(standard if basis is None else basis)
+    labels = tuple(standard_basis(spec) if basis is None else basis)
     entries = [_diagonal(lab, n) for lab in labels]
     dim = len(labels)
     if dim != seaweed_dim(spec):
@@ -483,13 +517,14 @@ def check_basis(
             f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
         )
 
-    admissible_units = {(lab.i, lab.j) for lab in standard if isinstance(lab, MatrixUnit)}
+    top_owner, bottom_owner = spec.top.block_of(), spec.bottom.block_of()
     units: dict[tuple[int, int], int] = {}
     diag_pos: list[int] = []
     for pos, lab in enumerate(labels):
         if isinstance(lab, MatrixUnit):
-            key = (lab.i, lab.j)
-            if key not in admissible_units:
+            i, j = key = (lab.i, lab.j)
+            owner = top_owner if i > j else bottom_owner
+            if owner[i] != owner[j]:
                 raise SpanError(f"unit {label_str(lab)} is not admissible for {spec.text()}")
             if key in units:
                 raise SpanError(f"duplicate unit {label_str(lab)}")
@@ -501,9 +536,16 @@ def check_basis(
     diagonals = tuple(
         (pos, tuple(diag_ints[r * n : (r + 1) * n])) for r, pos in enumerate(diag_pos)
     )
-    # the common scale leaves the h-coordinates' determinant zero or nonzero
-    if len(diag_pos) != n - 1 or not _kernels.det_int(
-        [_h_coordinates(ent) for _, ent in diagonals]
+    covered = {labels[pos].i for pos in diag_pos if isinstance(labels[pos], DiagDiff)}
+    customs = [
+        _h_coordinates(ent) for pos, ent in diagonals if not isinstance(labels[pos], DiagDiff)
+    ]
+    free = [k for k in range(n - 1) if k + 1 not in covered]
+    # the common scale leaves the minor's determinant zero or nonzero
+    if (
+        len(diag_pos) != n - 1
+        or len(covered) + len(customs) != n - 1
+        or customs and not _kernels.det_int([[hc[k] for k in free] for hc in customs])
     ):
         raise SpanError(
             f"the {len(diag_pos)} diagonal labels are not a basis of the traceless diagonals"

@@ -258,6 +258,35 @@ def test_verify_zero_denominator_is_unreadable(capsys, tmp_path, text, edit):
     assert rc == 2 and out == "" and "cannot read certificate" in err
 
 
+_NON_CANONICAL = ["256.0", " 2.56e2 ", "256_0", "1.0", "2/4", "4/2", "-0"]
+_FRACTION_FIELDS = {
+    "det": ("2|6 / 8", lambda data, v: data.update(det=v), "field 'det'"),
+    "k": ("2|6 / 8", lambda data, v: data.update(k=v), "field 'k'"),
+    "dual-matrix": ("2|6 / 8", lambda data, v: data["dual_matrix"].update({"8,3": v}),
+                    "dual_matrix entry '8,3'"),
+    "custom-diagonal": ("1|4 / 3|1|1", lambda data, v: _diag_entry(data).__setitem__(0, v),
+                        "an entry of diag label 'H'"),
+}
+
+
+@pytest.mark.parametrize("value", _NON_CANONICAL)
+@pytest.mark.parametrize("field", sorted(_FRACTION_FIELDS))
+def test_verify_non_canonical_fraction_is_unreadable(capsys, tmp_path, field, value):
+    """A certificate that reads must write back its own bytes, so a number
+    only reads in the form str(Fraction) writes it."""
+    text, edit, what = _FRACTION_FIELDS[field]
+    data = json.loads(synthesize_contact(SeaweedSpec.parse(text)).to_json())
+    edit(data, value)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == (
+        f"seaweed: cannot read certificate: {what} must be a fraction as str(Fraction) "
+        f"writes it, such as '-3/4', not {value!r}\n"
+    )
+
+
 def test_verify_explains_an_over_limit_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     run(capsys, "contact", "2|6 / 8", "--out", str(path))
@@ -317,6 +346,11 @@ _H1 = {"name": "h1", "entries": ["1", "-1", "0", "0", "0", "0", "0", "0"]}
         ("basis", _swap_label({"diagdiff": 1}, {"diag": {**_H1, "entries": [1, -1, 0, 0, 0, 0, 0, 0]}}),
          "a diag label must hold a string name and a list of string entries, "
          f"not {({**_H1, 'entries': [1, -1, 0, 0, 0, 0, 0, 0]})!r}"),
+        # a label object holds exactly one key
+        ("basis", _swap_label({"unit": [1, 2]}, {"unit": [1, 2], "diagdiff": 3}),
+         "a basis label must hold exactly one key, not {'unit': [1, 2], 'diagdiff': 3}"),
+        ("basis", _swap_label({"diagdiff": 1}, {}),
+         "a basis label must hold exactly one key, not {}"),
         # int() would read these keys as (8, 3)
         ("dual_matrix", _rename_key("8,3", "0_8,3"),
          "dual_matrix key '0_8,3' must be two decimal ints 'i,j'"),
@@ -327,7 +361,8 @@ _H1 = {"name": "h1", "entries": ["1", "-1", "0", "0", "0", "0", "0", "0"]}
     ],
     ids=[
         "dual-matrix-list", "spec-number", "unit-bool", "unit-string", "diagdiff-string",
-        "diagdiff-float", "diag-name-number", "diag-entries-numbers", "key-underscore",
+        "diagdiff-float", "diag-name-number", "diag-entries-numbers", "unit-and-diagdiff",
+        "empty-label", "key-underscore",
         "key-space", "key-three-parts",
     ],
 )

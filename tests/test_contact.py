@@ -1,13 +1,17 @@
 """Contact form synthesis, certificates, and independent verification."""
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seaweed.contact
 from seaweed.cli import main
@@ -28,11 +32,13 @@ from seaweed.contact import (
     verify_certificate,
 )
 from seaweed.standard_form import (
+    Composition,
     CustomDiagonal,
     DiagDiff,
     MatrixUnit,
     SeaweedSpec,
     dual_matrix_to_coeffs,
+    label_to_json,
     materialize,
     seaweed_dim,
     spec_pairs,
@@ -683,3 +689,80 @@ def test_combine_validates_closure():
     # {e(1,2), e(2,1)} brackets onto h(1), which is in the other part
     with pytest.raises(ValueError):
         frobenius_plus_contact_combine(L, {1, 2}, phi1, {0}, phi2, [1])
+
+
+# ---------------------------------------------------------------------------
+# certificate bytes
+# ---------------------------------------------------------------------------
+
+_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+
+
+def test_certificates_match_the_benchmark_goldens():
+    """Every index-one spec with n <= 7 writes the certificate whose digest
+    (the first 16 hex digits of its sha256) the benchmark's goldens hold,
+    and reads back to the same bytes."""
+    goldens = json.loads(_GOLDENS.read_text(encoding="utf-8"))["certificates"]
+    checked = 0
+    for n in range(1, 8):
+        for sp in spec_pairs(n):
+            if meander_index(sp) != 1:
+                continue
+            text = synthesize_contact(sp).to_json()
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == goldens[sp.text()], sp.text()
+            assert ContactCertificate.from_json(text).to_json() == text, sp.text()
+            checked += 1
+    assert checked > 1000
+
+
+def _reference_json(cert):
+    """``to_json``'s output as the standard library's indent-2 encoder writes it."""
+    data = {
+        "spec": cert.spec.text(),
+        "case": cert.case,
+        "basis": [label_to_json(b) for b in cert.basis],
+        "dual_matrix": {f"{i},{j}": str(c) for (i, j), c in cert.form.entries},
+        "k": None if cert.k is None else str(cert.k),
+        "det": str(cert.det_value),
+        "auxiliary": cert.auxiliary,
+    }
+    return json.dumps(data, indent=2)
+
+
+_odd_text = st.text(alphabet=st.sampled_from('ab"\\\n\t/é€𝄞\x00 '), max_size=6)
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _odd_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_odd_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _certificates(draw):
+    n = draw(st.integers(1, 5))
+    sp = SeaweedSpec(Composition((n,)), Composition((n,)))
+    # ints or bools: a bool equals an int but is written as true or false
+    coord = st.integers(1, n) | st.booleans() | st.integers(-3, 40)
+    unit = st.tuples(coord, coord).filter(lambda ij: ij[0] != ij[1]).map(lambda ij: MatrixUnit(*ij))
+    head = st.lists(_fractions, min_size=n - 1, max_size=n - 1)
+    custom = st.builds(
+        lambda name, h: CustomDiagonal(name, (*h, -sum(h, Fraction(0)))), _odd_text, head
+    )
+    label = unit | st.builds(DiagDiff, coord) | custom
+    pos = st.tuples(st.integers(1, n), st.integers(1, n))
+    return ContactCertificate(
+        spec=sp,
+        case=draw(_odd_text),
+        basis=tuple(draw(st.lists(label, max_size=6))),
+        form=OneForm.from_terms(n, draw(st.dictionaries(pos, _fractions, max_size=4))),
+        k=draw(st.none() | _fractions),
+        det_value=draw(_fractions),
+        auxiliary=draw(st.dictionaries(_odd_text, _json_values, max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificates())
+def test_certificate_writer_matches_the_standard_encoder(cert):
+    assert cert.to_json() == _reference_json(cert)

@@ -20,6 +20,7 @@ from seaweed.standard_form import (
     check_basis,
     compositions,
     dual_matrix_to_coeffs,
+    fraction_from_json,
     label_from_json,
     label_str,
     label_to_json,
@@ -588,3 +589,122 @@ def test_check_basis_rejects_exactly_the_bases_that_do_not_span(data):
     assert rejects(check_basis) == expected
     assert rejects(materialize) == expected
 
+
+
+@st.composite
+def diagonal_labels(draw, n):
+    """Diagonal labels for n, usually n - 1 of them: h(i) with i drawn from
+    0..n (0 and n are out of range, and repeats are duplicates) and custom
+    diagonals with sparse h-coordinates, which often lie in the span of the
+    h(i) or of each other."""
+    count = draw(st.one_of(st.just(max(n - 1, 0)), st.integers(0, n + 1)))
+    coordinate = st.sampled_from([0, 1, 0, -1, 0, 2, Fraction(1, 2), Fraction(-2, 3)])
+    labels = []
+    for c in range(count):
+        if draw(st.booleans()):
+            labels.append(DiagDiff(draw(st.integers(0, n))))
+        else:
+            h = [Fraction(x) for x in draw(st.lists(coordinate, min_size=n - 1, max_size=n - 1))]
+            # the diagonal whose partial sums are h: h_k - h_(k-1), with h_0 = h_n = 0
+            entries = tuple(b - a for a, b in zip([0, *h], [*h, 0]))
+            labels.append(CustomDiagonal(f"C{c}", entries))
+    return labels
+
+
+def _h_coordinates_reference(label, n):
+    """Partial sums of the label's dense diagonal, without its last."""
+    return list(accumulate(_dense_diagonal(label, n)))[:-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_check_basis_accepts_diagonals_exactly_when_their_h_coordinates_have_full_rank(data):
+    sp = data.draw(small_spec())
+    n = sp.n
+    diagonals = data.draw(diagonal_labels(n))
+    units = [lab for lab in standard_basis(sp) if isinstance(lab, MatrixUnit)]
+    basis = data.draw(st.permutations(units + diagonals))
+    out_of_range = [lab for lab in diagonals if isinstance(lab, DiagDiff) and not 1 <= lab.i <= n - 1]
+    if out_of_range:
+        with pytest.raises(ValueError) as exc:
+            check_basis(sp, basis)
+        assert not isinstance(exc.value, SpanError)
+        assert str(exc.value).startswith("diagonal difference DiagDiff(i=")
+        assert str(exc.value).endswith(f") out of range for n={n}")
+        return
+    if len(diagonals) != n - 1:
+        with pytest.raises(SpanError) as exc:
+            check_basis(sp, basis)
+        assert str(exc.value) == (
+            f"basis has {len(basis)} labels, {sp.text()} has dimension {seaweed_dim(sp)}"
+        )
+        return
+    rows = [_h_coordinates_reference(lab, n) for lab in diagonals]
+    if _fraction_rank(rows) == n - 1:
+        checked = check_basis(sp, basis)
+        assert checked.labels == tuple(basis)
+    else:
+        with pytest.raises(SpanError) as exc:
+            check_basis(sp, basis)
+        assert str(exc.value) == (
+            f"the {n - 1} diagonal labels are not a basis of the traceless diagonals"
+        )
+
+
+def test_standard_basis_check_runs_no_determinant(monkeypatch):
+    import seaweed._kernels
+
+    def refuse(rows):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(seaweed._kernels, "det_int", refuse)
+    for text in ("2|6 / 8", "1|4 / 3|1|1", "2|18 / 20"):
+        sp = SeaweedSpec.parse(text)
+        assert check_basis(sp).dim == seaweed_dim(sp)
+        assert check_basis(sp, list(reversed(standard_basis(sp)))).dim == seaweed_dim(sp)
+
+
+@given(st.fractions())
+def test_fraction_from_json_reads_what_str_writes(value):
+    assert fraction_from_json(str(value), "x") == value
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789-+/._e ", max_size=8))
+def test_fraction_from_json_reads_exactly_the_canonical_strings(text):
+    """Accepted exactly when Fraction reads the text and writes it back."""
+    try:
+        canonical = str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        canonical = False
+    if canonical:
+        assert fraction_from_json(text, "x") == Fraction(text)
+    else:
+        with pytest.raises(ValueError, match="x must be a fraction as str"):
+            fraction_from_json(text, "x")
+
+
+@pytest.mark.parametrize(
+    "text", ["256.0", " 2.56e2 ", "256_0", "1.0", "2/4", "4/2", "-0", "4/1", "0/3", "1/0", "٣", "+1"]
+)
+def test_fraction_from_json_rejects_other_spellings(text):
+    with pytest.raises(ValueError, match=r"field 'det' must be a fraction as str\(Fraction\) writes it"):
+        fraction_from_json(text, "field 'det'")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"unit": [1, 2], "diagdiff": 3}, {"diagdiff": 1, "extra": None}, {}],
+    ids=["unit-and-diagdiff", "diagdiff-and-extra", "empty"],
+)
+def test_label_from_json_needs_exactly_one_key(data):
+    with pytest.raises(ValueError, match="a basis label must hold exactly one key"):
+        label_from_json(data)
+
+
+def test_label_from_json_reads_custom_entries_strictly():
+    good = {"diag": {"name": "H", "entries": ["1/2", "-1/2"]}}
+    assert label_from_json(good) == CustomDiagonal("H", (Fraction(1, 2), Fraction(-1, 2)))
+    bad = {"diag": {"name": "H", "entries": ["0.5", "-1/2"]}}
+    with pytest.raises(ValueError, match="an entry of diag label 'H' must be a fraction"):
+        label_from_json(bad)

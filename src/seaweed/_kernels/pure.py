@@ -42,8 +42,9 @@ as lists:
   1994; Rote 2001), and the division is exact by the Pfaffian form of
   Sylvester's identity, Pf(S) Pf(S+ijkl) = Pf(S+ij) Pf(S+kl)
   - Pf(S+ik) Pf(S+jl) + Pf(S+il) Pf(S+jk). A Pfaffian has half the bits of
-  the determinant of the same minor. A row with P[k] = Q[k] = 0 still gets
-  the a // prev scale.
+  the determinant of the same minor. A row pays only the products whose
+  factor P[k] or Q[k] is nonzero, and one with P[k] = Q[k] = 0 still gets
+  the a // prev scale. Column s is deleted from each row in place.
 
 It stays on lists because its entries are minors of unbounded size: no
 fixed slot width holds them.
@@ -73,8 +74,9 @@ Giorgi & Pernet 2008):
 - the bound: a slot starts below p, and a step adds at most 2 (p-1)^2 to
   it. There are at most n/2 steps, so a slot stays below
   (p-1) + n (p-1)^2, and the slot width w is the least with that bound
-  below 2^w (72 bits for p = 2^31 - 1 and n <= 1024). No slot carries into
-  its neighbour, and each slot stays congruent mod p to its entry;
+  below 2^w: one 64-bit word for the index oracle's p = 2^27 - 39 and
+  n <= 1024 (p = 2^31 - 1 would need 72 bits). No slot carries into its
+  neighbour, and each slot stays congruent mod p to its entry;
 - a row never updated keeps the residues it started with, so it is not
   unpacked when it pivots. Columns at or above the pivot index are dead
   (zero mod p in every live row), so a pivot row is read and repacked only
@@ -326,31 +328,36 @@ def _skew_rank(lower: list[list[int]]) -> int:
     pivots = 0
     while lower:
         last = lower.pop()
-        s = next((c for c in range(len(last) - 1, -1, -1) if last[c]), None)
-        if s is None:
+        s = len(last) - 1
+        while s >= 0 and not last[s]:
+            s -= 1
+        if s < 0:
             # a zero row: its index lies in the kernel
             continue
         # pivot on the pair (n-1, s), a = a[n-1][s]; P = a[n-1][.] and
         # Q = a[s][.] over the other live indices 0..s-1, s+1..n-2
         a = last[s]
-        P = last[:s] + last[s + 1 :]
-        Q = lower[s] + [-lower[k][s] for k in range(s + 1, len(lower))]
-        rest = []
+        del last[s]
+        P = last
+        Q = lower.pop(s) + [-row[s] for row in lower[s:]]
         for k, row in enumerate(lower):
-            if k == s:
-                continue
-            if k > s:
-                row = row[:s] + row[s + 1 :]
+            if k >= s:
+                del row[s]
             # row covers the live indices below k, the first len(row) of P
             # and Q; index k itself comes next
             pk = P[len(row)]
             qk = Q[len(row)]
-            if pk or qk:
-                row = [(a * x + qk * y - pk * z) // prev for x, y, z in zip(row, P, Q)]
+            # the update of the module docstring, with only the products
+            # whose factor P[k] or Q[k] is nonzero
+            if pk:
+                if qk:
+                    lower[k] = [(a * x + qk * y - pk * z) // prev for x, y, z in zip(row, P, Q)]
+                else:
+                    lower[k] = [(a * x - pk * z) // prev for x, z in zip(row, Q)]
+            elif qk:
+                lower[k] = [(a * x + qk * y) // prev for x, y in zip(row, P)]
             elif a != prev:
-                row = [x * a // prev for x in row]
-            rest.append(row)
-        lower = rest
+                lower[k] = [x * a // prev for x in row]
         prev = a
         pivots += 1
     return 2 * pivots

@@ -74,7 +74,7 @@ class RatMatrix:
         )
 
 
-def _clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
     """(den * values, den), with den the lcm of the values' denominators."""
     vals = list(values)
     den = 1

@@ -452,7 +452,8 @@ class SeaweedBasis:
     ) -> tuple[list[int], list[list[int]], int]:
         """(s * phi, s * B_phi, s) in integers for phi(M) = sum W_ij M_ij,
         W given by its ``entries`` (absent ones are 0); s is W's denominator lcm times
-        ``diagonal_den``.
+        ``diagonal_den``. The values are read through their ``numerator`` and
+        ``denominator``, which ``Fraction`` and ``int`` both have.
 
         B_phi(X, Y) = phi([X, Y]) comes from the gl(n) bracket rules alone:
         [e(a,b), e(b,c)] = e(a,c), so W_ac reaches every such pair of units
@@ -464,7 +465,7 @@ class SeaweedBasis:
         for (i, j) in entries:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"dual matrix entry ({i},{j}) out of range 1..{n}")
-        w_ints, w_den = _clear_denominators(map(Fraction, entries.values()))
+        w_ints, w_den = _clear_denominators(entries.values())
         d_den = self.diagonal_den
         units = self.units
         d = self.dim

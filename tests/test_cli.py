@@ -668,6 +668,17 @@ def test_oracle_rejects_trials_below_one(capsys, trials):
 # installed entry point
 # ---------------------------------------------------------------------------
 
+def test_python_m_seaweed_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seaweed.cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seaweed", "index", "2|6 / 8"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout == "index 1\n"
+
+
 @pytest.mark.skipif(shutil.which("seaweed") is None, reason="entry point not on PATH")
 def test_console_script():
     proc = subprocess.run(

@@ -550,10 +550,83 @@ def test_rank_kernels_match_fraction_rank(case):
     assert rows == snapshot
 
 
+def _wedge(a, u, v):
+    """a += u v^T - v u^T, a rank-2 skew term."""
+    for k, row in enumerate(a):
+        for l in range(len(row)):
+            row[l] += u[k] * v[l] - v[k] * u[l]
+
+
+@st.composite
+def planted_skew(draw):
+    """A skew matrix whose first pivot step in ``_skew_rank`` meets every
+    row update form, on a low-rank remainder.
+
+    The last index n-1 pivots with s, the last nonzero of its row. With
+    a = e(n-1) ^ y + e(s) ^ z + R, where R is a few sparse rank-2 terms that
+    vanish on n-1 and s, row n-1 is y and row s is z away from n-1 and s, so
+    y[k] and z[k] are P[k] and Q[k]. Below s the rows get P only, Q only,
+    both and neither (a rescale by the pivot |y[s]| >= 2); above s, where
+    y is zero by the choice of s, Q only or neither. Some rows of the
+    "neither" kind are zero rows, and the remainder's own pivots meet the
+    forms again at random."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(6, 18)
+    s = rng.randint(4, n - 2)
+    bound = rng.choice([3, 10**6])
+
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randint(1, bound)
+
+    forms = ["P", "Q", "both", "neither"]
+    forms += [rng.choice(forms) for _ in range(s - 4)]
+    rng.shuffle(forms)
+    forms += [rng.choice(["Q", "neither"]) for _ in range(s + 1, n - 1)]
+    others = [k for k in range(n - 1) if k != s]
+    y = [0] * n
+    z = [0] * n
+    for k, form in zip(others, forms):
+        if form in ("P", "both"):
+            y[k] = nonzero()
+        if form in ("Q", "both"):
+            z[k] = nonzero()
+    y[s] = rng.choice([-1, 1]) * rng.randint(2, max(2, bound))
+    zero = {k for k, form in zip(others, forms) if form == "neither" and rng.random() < 0.5}
+    live = [k for k in others if k not in zero]
+    a = [[0] * n for _ in range(n)]
+    for _ in range(rng.randint(0, len(live) // 2)):
+        u = [0] * n
+        v = [0] * n
+        for k in live:
+            if rng.random() < 0.4:
+                u[k] = nonzero()
+            if rng.random() < 0.4:
+                v[k] = nonzero()
+        _wedge(a, u, v)
+    e = [0] * n
+    e[n - 1] = 1
+    _wedge(a, e, y)
+    e = [0] * n
+    e[s] = 1
+    _wedge(a, e, z)
+    return a, zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_skew())
+def test_skew_rank_update_forms_match_fraction_rank(case):
+    rows, zero = case
+    snapshot = [r[:] for r in rows]
+    assert pure._is_skew(rows)
+    assert all(not any(rows[k]) for k in zero)
+    assert pure.rank_int(rows) == fraction_rank(rows)
+    assert rows == snapshot
+
 # Primes from 2 up past one 64-bit word: small p, where the rank mod p is
-# often below the rational rank, up to p = 2^89 - 1, whose residues take two
-# words in a packed slot.
-MOD_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+# often below the rational rank, the index oracle's 2^27 - 39, whose slots
+# are one 64-bit field, up to p = 2^89 - 1, whose residues take two words in
+# a packed slot.
+MOD_PRIMES = (2, 3, 5, 7, 65537, 2**27 - 39, 2**31 - 1, 2**61 - 1, 2**89 - 1)
 
 
 def modp_rank(rows, p):

@@ -11,6 +11,7 @@ from math import factorial
 import pytest
 
 from seaweed import _kernels, liealg
+from seaweed.contact import MAX_VERIFY_DIM
 from seaweed.exact import RatMatrix, det, kernel_basis, rank
 from seaweed.liealg import (
     SAMPLE_BOUND,
@@ -206,6 +207,23 @@ def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
     rows = liealg._kirillov_int_rows(L, phi)
     assert _kernels.rank_mod(rows, liealg._PRIME) == 362
 
+
+
+def test_oracle_prime_is_prime():
+    p = liealg._PRIME
+    assert p > 2 and all(p % q for q in range(2, 11587))
+    assert 11586**2 > p
+
+
+def test_oracle_prime_keeps_every_packed_slot_in_one_word():
+    """A slot of the packed mod-p rank is one 64-bit field for every matrix
+    up to the CLI's dimension cap, and would need a second field one size
+    up, so no larger prime keeps one word per slot at that cap."""
+    from seaweed._kernels.pure import _slot_layout
+
+    words = 3
+    assert _slot_layout(MAX_VERIFY_DIM, liealg._PRIME)[words] == 0
+    assert _slot_layout(MAX_VERIFY_DIM + 1, liealg._PRIME)[words] > 0
 
 def test_index_rejects_bad_trials(three_dim_solvable):
     with pytest.raises(ValueError):

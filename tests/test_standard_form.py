@@ -517,6 +517,27 @@ def test_trace_pairing_matches_the_structure_table(data):
         assert bhat_det(checked, W) == bhat_det(L, coeffs)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scaled_form_reads_int_and_fraction_entries_alike(data):
+    """An int entry and the equal Fraction give the same (s*phi, s*B_phi, s):
+    scaled_form reads both through their numerator and denominator."""
+    sp = data.draw(small_spec())
+    try:
+        checked = check_basis(sp, data.draw(permuted_basis(sp)))
+    except SpanError:
+        return
+    keys = st.tuples(st.integers(1, sp.n), st.integers(1, sp.n))
+    ints = data.draw(st.dictionaries(keys, st.integers(-5, 5), max_size=2 * sp.n))
+    W = data.draw(dual_matrix(sp.n))
+    mixed = {**W, **ints}
+    as_fractions = {pos: Fraction(v) for pos, v in mixed.items()}
+    assert checked.scaled_form(mixed) == checked.scaled_form(as_fractions)
+    assert checked.scaled_form(ints) == checked.scaled_form(
+        {pos: Fraction(v) for pos, v in ints.items()}
+    )
+
 def _fraction_rank(rows):
     rows = [list(r) for r in rows]
     rank = 0

@@ -622,6 +622,7 @@ def test_skew_rank_update_forms_match_fraction_rank(case):
     assert pure.rank_int(rows) == fraction_rank(rows)
     assert rows == snapshot
 
+
 # Primes from 2 up past one 64-bit word: small p, where the rank mod p is
 # often below the rational rank, the index oracle's 2^27 - 39, whose slots
 # are one 64-bit field, up to p = 2^89 - 1, whose residues take two words in

@@ -208,7 +208,6 @@ def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
     assert _kernels.rank_mod(rows, liealg._PRIME) == 362
 
 
-
 def test_oracle_prime_is_prime():
     p = liealg._PRIME
     assert p > 2 and all(p % q for q in range(2, 11587))
@@ -217,13 +216,13 @@ def test_oracle_prime_is_prime():
 
 def test_oracle_prime_keeps_every_packed_slot_in_one_word():
     """A slot of the packed mod-p rank is one 64-bit field for every matrix
-    up to the CLI's dimension cap, and would need a second field one size
-    up, so no larger prime keeps one word per slot at that cap."""
-    from seaweed._kernels.pure import _slot_layout
+    up to the CLI's dimension cap, and needs a second field one column
+    beyond it: a prime change that widens the slots at the cap fails here."""
+    *_, words, _ = _kernels.pure._slot_layout(MAX_VERIFY_DIM, liealg._PRIME)
+    assert words == 0
+    *_, words, _ = _kernels.pure._slot_layout(MAX_VERIFY_DIM + 1, liealg._PRIME)
+    assert words > 0
 
-    words = 3
-    assert _slot_layout(MAX_VERIFY_DIM, liealg._PRIME)[words] == 0
-    assert _slot_layout(MAX_VERIFY_DIM + 1, liealg._PRIME)[words] > 0
 
 def test_index_rejects_bad_trials(three_dim_solvable):
     with pytest.raises(ValueError):

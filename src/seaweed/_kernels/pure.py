@@ -53,11 +53,12 @@ Every update must act on rows and columns alike. Scaling a stored triangle
 row on its own (say, row k by a) scales half of row k and half of column k,
 which is no congruence, and gives wrong ranks.
 
-``rank_mod`` runs ``_packed_skew_rank``: each full row of the matrix mod p is
-one Python int, with one fixed-width slot per column holding a nonnegative
-residue, and a row update is one big-integer multiply-add (the packing with
-delayed reduction of Dumas, Fousse & Salvy 2011 and FFLAS-FFPACK, Dumas,
-Giorgi & Pernet 2008):
+``rank_mod`` raises ``ValueError`` on input that is not skew; its one
+caller, the index oracle, sends only Kirillov matrices. Each full row of the
+matrix mod p is one Python int, with one 64-bit word per column holding a
+nonnegative residue, and a row update is one big-integer multiply-add (the
+packing with delayed reduction of Dumas, Fousse & Salvy 2011 and
+FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008):
 
 - the pivot row i is the last live index. It is unpacked and reduced to
   residues in [0, p), which finds j, its last nonzero column below i, or
@@ -73,17 +74,14 @@ Giorgi & Pernet 2008):
   per entry;
 - the bound: a slot starts below p, and a step adds at most 2 (p-1)^2 to
   it. There are at most n/2 steps, so a slot stays below
-  (p-1) + n (p-1)^2, and the slot width w is the least with that bound
-  below 2^w: one 64-bit word for the index oracle's p = 2^27 - 39 and
-  n <= 1024 (p = 2^31 - 1 would need 72 bits). No slot carries into its
-  neighbour, and each slot stays congruent mod p to its entry;
+  (p-1) + n (p-1)^2. ``rank_mod`` raises ``ValueError`` unless that is
+  below 2^64, so no slot carries into its neighbour, and each slot stays
+  congruent mod p to its entry. The index oracle's p = 2^24 - 3 is the
+  largest prime that fits up to n = 2^16;
 - a row never updated keeps the residues it started with, so it is not
   unpacked when it pivots. Columns at or above the pivot index are dead
   (zero mod p in every live row), so a pivot row is read and repacked only
   below it.
-
-``rank_mod`` ranks a matrix A that is not skew as the skew matrix
-[[0, -A^T], [A, 0]], whose rank is 2 rank A, so one elimination serves both.
 
 ``det_int`` starts on sparse rows, because the library's determinants are
 of bordered matrices with about two nonzeros per row. Each row becomes a dict
@@ -124,10 +122,9 @@ matrix, so the rows that hold a column are that column's own keys:
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, mod, mul, or_
-from struct import Struct, calcsize
+from operator import add, mod, or_
+from struct import Struct
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -290,23 +287,6 @@ def rank_int(rows: list[list[int]]) -> int:
     return len(echelon_int(rows)[1])
 
 
-def rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of the matrix reduced mod the prime p.
-
-    Always a lower bound for the rational rank: a pivot chain mod p exhibits a
-    minor that is nonzero mod p, hence nonzero over Q. Callers exploit this for
-    certified early answers (see the index oracle). A matrix A that is not
-    skew-symmetric is ranked as the skew [[0, -A^T], [A, 0]], of rank 2 rank A.
-    The elimination runs on packed rows (module docstring).
-    """
-    if _is_skew(rows):
-        return _packed_skew_rank([list(map(mod, row, repeat(p))) for row in rows], p)
-    m = len(rows[0]) if rows else 0
-    skew = [[0] * m + [-row[c] % p for row in rows] for c in range(m)]
-    skew += [[x % p for x in row] + [0] * len(rows) for row in rows]
-    return _packed_skew_rank(skew, p) // 2
-
-
 def _is_skew(rows: list[list[int]]) -> bool:
     """Whether rows is square with a zero diagonal and a[i][j] == -a[j][i]."""
     n = len(rows)
@@ -363,61 +343,33 @@ def _skew_rank(lower: list[list[int]]) -> int:
     return 2 * pivots
 
 
-_WORD = (1 << 64) - 1
+def rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank mod the prime p of a skew-symmetric integer matrix.
 
-
-@lru_cache(maxsize=128)
-def _slot_layout(n: int, p: int) -> tuple:
-    """How ``_packed_skew_rank`` packs a row of n residues mod p into bytes.
-
-    A slot is w bits wide, the least w with (p-1) + n (p-1)^2 < 2^w, rounded
-    up to whole 64-bit words plus one narrower tail field ('B', 'H', 'I' or
-    'Q'). Returns (write, read, size, words, limbs): ``write`` packs n
-    residues, each given as ``limbs`` 64-bit words, into the low end of
-    their slots; ``read`` unpacks the ``size`` bytes of a row into ``words``
-    64-bit fields plus the tail per slot, low field first.
+    Always a lower bound for the rational rank: a pivot chain mod p exhibits a
+    minor that is nonzero mod p, hence nonzero over Q. Callers exploit this for
+    certified early answers (see the index oracle). The elimination runs on
+    rows packed one 64-bit word per slot (module docstring). Raises
+    ``ValueError`` on a matrix that is not skew-symmetric, and on n rows with
+    (p-1) + n (p-1)^2 >= 2^64, where a slot could outgrow its word.
     """
-    w = ((p - 1) + n * (p - 1) ** 2).bit_length()
-    words = (w - 1) // 64
-    tail = next(c for c in "BHIQ" if 8 * calcsize("<" + c) >= w - 64 * words)
-    width = 8 * words + calcsize("<" + tail)
-    limbs = -(-(p - 1).bit_length() // 64)
-    # a residue has half a slot's bits, so it fits the leading words; a
-    # one-field slot holds it in the tail
-    lead = "Q" * limbs if words else tail
-    read = Struct("<" + ("Q" * words + tail) * n)
-    write = Struct("<" + (lead + f"{width - calcsize('<' + lead)}x") * n)
-    return write.pack, read.unpack, read.size, words, limbs
-
-
-def _packed_skew_rank(res: list[list[int]], p: int) -> int:
-    """Rank mod p of the skew-symmetric matrix whose rows of residues in
-    [0, p) are ``res``; the lists are consumed.
-
-    Packed rows, one big-integer multiply-add per row update (module
-    docstring).
-    """
-    n = len(res)
-    write, read, size, words, limbs = _slot_layout(n, p)
-    fields = words + 1
-    r64 = (1 << 64) % p
-    shifts = range(0, 64 * limbs, 64)
+    n = len(rows)
+    if (p - 1) + n * (p - 1) ** 2 >= 1 << 64:
+        raise ValueError(f"rank_mod: {n} rows mod {p} can overflow a 64-bit slot")
+    if not _is_skew(rows):
+        raise ValueError("rank_mod: the matrix is not skew-symmetric")
+    # res[k] holds the residues of row k in [0, p) until row k is first updated
+    res: list[list[int] | None] = [list(map(mod, row, repeat(p))) for row in rows]
+    row_struct = Struct(f"<{n}Q")
+    write, read, size = row_struct.pack, row_struct.unpack, row_struct.size
     zeros = [0] * n
 
     def pack(vals: list[int]) -> int:
-        vals = vals + zeros[len(vals) :]
-        if limbs > 1:
-            vals = [x >> s & _WORD for x in vals for s in shifts]
-        return int.from_bytes(write(*vals), "little")
+        return int.from_bytes(write(*vals, *zeros[len(vals) :]), "little")
 
     def residues(row: int, count: int) -> list[int]:
         # the first count slots of row, reduced mod p
-        f = read(row.to_bytes(size, "little"))
-        end = fields * count
-        vals = f[words:end:fields]
-        for t in range(words - 1, -1, -1):
-            vals = map(add, map(mul, vals, repeat(r64)), f[t:end:fields])
-        return list(map(mod, vals, repeat(p)))
+        return list(map(mod, read(row.to_bytes(size, "little"))[:count], repeat(p)))
 
     packed: list[int | None] = [pack(r) for r in res]
     pivots = 0
@@ -426,7 +378,6 @@ def _packed_skew_rank(res: list[list[int]], p: int) -> int:
         if Ri is None:
             # consumed as the partner j of an earlier pivot
             continue
-        # res[k] stays the residues of row k until row k is first updated
         ri = res[i]
         if ri is None:
             ri = residues(Ri, i)

@@ -32,7 +32,6 @@ from .liealg import (
     squared_identity_holds,
 )
 from .meander import Meander, build_meander, components, counts, index_from_counts, orient
-from .meander import index as meander_index
 from .standard_form import (
     BasisLabel,
     Composition,
@@ -456,12 +455,13 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
         gens = [MatrixUnit(p, j) for j in range(p + 1, q + 1)]
         gens += [MatrixUnit(i, q) for i in range(p + 1, q)]
         center = MatrixUnit(p, q)
-    if meander_index(gprime) != 0:
+    mprime = build_meander(gprime)
+    if index_from_counts(*counts(mprime)) != 0:
         raise TheoremViolationError(
             f"residual seaweed {gprime.text()} of {spec.text()} is not Frobenius"
         )
 
-    fbar = regular_form_from_meander(gprime)
+    fbar = _regular_form(mprime)
     samples = []
     for k in range(1, k_max + 1):
         form = fbar.plus(

@@ -24,10 +24,12 @@ WEDGE_DIM_CAP = 15
 # Fixed prime for the certified modular shortcut in the index oracle.
 # rank mod p never exceeds the rational rank, and kernel dimension never drops
 # below dim mod 2 (skew rank is even), so when the two bounds meet the exact
-# kernel dimension is known without bignum elimination. 2^27 - 39 is the
-# largest prime p with (p-1) + 1024 (p-1)^2 < 2^64, so the packed mod-p rank
-# holds each entry in one 64-bit slot up to the CLI's 1024 columns.
-_PRIME = 134217689
+# kernel dimension is known without bignum elimination. 2^24 - 3 is the
+# largest prime p with (p-1) + 2^16 (p-1)^2 < 2^64, so the packed mod-p rank
+# holds each entry in one 64-bit slot up to 2^16 columns. A d x d list at
+# d = 2^16 holds 2^32 entries, 32 GiB of pointers, so no buildable B_phi is
+# larger.
+_PRIME = 16777213
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +261,11 @@ def index_randomized(
     lists, its entries Pfaffian minors; the mod-p rank on rows packed one
     per integer, each row update one multiply-add, reducing only the two
     pivot rows of a step.
-    The prime ``_PRIME`` = 2^27 - 39 is the largest that keeps every packed
-    slot one 64-bit word for matrices up to 1024 columns. It decides only
-    which trials settle mod p; every other trial runs the exact rank, so the
-    answer does not depend on it.
+    The prime ``_PRIME`` = 2^24 - 3 is the largest that keeps every packed
+    slot one 64-bit word for matrices up to 2^16 columns, past any B_phi
+    that fits in memory as a dense list. It decides only which trials settle
+    mod p; every other trial runs the exact rank, so the answer does not
+    depend on it.
     Once any trial hits the floor no later trial can lower the min, so the
     loop returns early with the same value a full run would produce.
     """

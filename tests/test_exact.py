@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seaweed
-from seaweed import _kernels
+from seaweed import _kernels, liealg
 from seaweed._kernels import pure
 from seaweed.exact import RatMatrix, det, inverse, kernel_basis, rank
 
@@ -455,10 +455,10 @@ def test_skew_det_peels_a_stale_row_after_a_step():
 
 
 # ---------------------------------------------------------------------------
-# rank kernels: the skew-symmetric elimination and the embedding
+# rank kernels: the exact skew elimination and the packed mod-p rank
 # ---------------------------------------------------------------------------
 
-MOD_PRIME = 2147483647
+ORACLE_PRIME = liealg._PRIME
 
 
 def fraction_rank(rows):
@@ -546,7 +546,11 @@ def test_rank_kernels_match_fraction_rank(case):
     expected = fraction_rank(rows)
     assert pure.rank_int(rows) == expected
     assert len(pure.echelon_int(rows)[1]) == expected
-    assert pure.rank_mod(rows, MOD_PRIME) == expected
+    if skew:
+        assert pure.rank_mod(rows, ORACLE_PRIME) == modp_rank(rows, ORACLE_PRIME)
+    else:
+        with pytest.raises(ValueError, match="not skew"):
+            pure.rank_mod(rows, ORACLE_PRIME)
     assert rows == snapshot
 
 
@@ -623,11 +627,11 @@ def test_skew_rank_update_forms_match_fraction_rank(case):
     assert rows == snapshot
 
 
-# Primes from 2 up past one 64-bit word: small p, where the rank mod p is
-# often below the rational rank, the index oracle's 2^27 - 39, whose slots
-# are one 64-bit field, up to p = 2^89 - 1, whose residues take two words in
-# a packed slot.
-MOD_PRIMES = (2, 3, 5, 7, 65537, 2**27 - 39, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+# Small p, where the rank mod p is often below the rational rank, the index
+# oracle's 2^24 - 3, the previous oracle prime 2^27 - 39, and 679093949, the
+# largest prime whose slots fit one 64-bit word at 40 rows, so that the slots
+# of the largest inputs run close to the word's bound.
+MOD_PRIMES = (2, 3, 5, 7, 65537, 2**24 - 3, 2**27 - 39, 679093949)
 
 
 def modp_rank(rows, p):
@@ -650,10 +654,9 @@ def modp_rank(rows, p):
 
 @st.composite
 def modp_rank_inputs(draw):
-    """(rows, p): skew matrices of size 0-40 and rectangular ones up to
-    20 x 20, sparse to fully dense, of full or low rank. Entries are often
-    multiples of p or one below them (residue p - 1, the largest), next to
-    entries of any size and sign."""
+    """(rows, p): skew matrices of size 0-40, sparse to fully dense, of full
+    or low rank. Entries are often multiples of p or one below them (residue
+    p - 1, the largest), next to entries of any size and sign."""
     p = draw(st.sampled_from(MOD_PRIMES))
     rng = draw(st.randoms(use_true_random=False))
     density = rng.choice([1.0, 1.0, rng.random()])
@@ -668,15 +671,6 @@ def modp_rank_inputs(draw):
             return p * rng.randint(-2, 2) - 1
         return rng.randint(-(p**2), p**2)
 
-    if rng.random() < 0.3:
-        r, c = rng.randint(1, 20), rng.randint(1, 20)
-        if rng.random() < 0.5:
-            # rank at most k
-            k = rng.randint(1, min(r, c))
-            b = [[entry() for _ in range(k)] for _ in range(r)]
-            d = [[entry() for _ in range(c)] for _ in range(k)]
-            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*d)] for row in b], p
-        return [[entry() for _ in range(c)] for _ in range(r)], p
     n = rng.randint(0, 40)
     a = [[0] * n for _ in range(n)]
     if n and rng.random() < 0.3:
@@ -704,6 +698,26 @@ def test_rank_mod_matches_modp_row_reduction(case):
     assert rows == snapshot
 
 
+def test_rank_mod_reads_a_slot_past_2_63():
+    """Three pivot pairs (7, 6), (5, 4), (3, 2) each add 2 (p-1)^2 to row 1's
+    slot 0, the largest a step can add, at p = 1518500213, the largest prime
+    whose slots fit one word at 8 rows. The slot is 0 mod p, so row 1 is a
+    zero row and the rank is 6, but it is read at 6 (p-1)^2 + p - 6 >= 2^63:
+    a signed or narrower slot gives another rank."""
+    p = 1518500213
+    assert (p - 1) + 8 * (p - 1) ** 2 < 2**64
+    assert 6 * (p - 1) ** 2 + p - 6 >= 2**63
+    upper = {(1, 0): -6}
+    for i in (7, 5, 3):
+        j = i - 1
+        upper.update({(i, j): 1, (i, 0): -1, (i, 1): 1, (j, 0): -1, (j, 1): -1})
+    rows = [[0] * 8 for _ in range(8)]
+    for (i, j), x in upper.items():
+        rows[i][j] = x
+        rows[j][i] = -x
+    assert pure.rank_mod(rows, p) == modp_rank(rows, p) == 6
+
+
 # ---------------------------------------------------------------------------
 # the kernel path
 # ---------------------------------------------------------------------------
@@ -714,16 +728,18 @@ def test_kernels_are_the_pure_functions():
         assert getattr(_kernels, name) is getattr(pure, name)
 
 
-def _random_int_rows(rng, r, c, bound=10**6):
-    return [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
-
-
 def test_rank_mod_matches_exact_rank_on_small_entries():
     rng = random.Random(7)
-    p = 2147483647
     for _ in range(20):
-        rows = _random_int_rows(rng, rng.randint(1, 7), rng.randint(1, 7), bound=40)
-        assert pure.rank_mod(rows, p) == pure.rank_int(rows)
+        n = rng.randint(1, 12)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.randint(-40, 40) * (rng.random() < 0.6)
+                rows[j][i] = -rows[i][j]
+        assert pure.rank_mod(rows, ORACLE_PRIME) == pure.rank_int(rows)
+    with pytest.raises(ValueError, match="not skew"):
+        pure.rank_mod([[1, 2], [3, 4]], ORACLE_PRIME)
 
 
 def test_kernels_do_not_mutate_input():
@@ -733,5 +749,9 @@ def test_kernels_do_not_mutate_input():
         pure.det_int(rows)
         pure.rank_int(rows)
         pure.echelon_int(rows)
-        pure.rank_mod(rows, 2147483647)
+        if rows is skew:
+            pure.rank_mod(rows, ORACLE_PRIME)
+        else:
+            with pytest.raises(ValueError):
+                pure.rank_mod(rows, ORACLE_PRIME)
         assert rows == snapshot

@@ -11,7 +11,6 @@ from math import factorial
 import pytest
 
 from seaweed import _kernels, liealg
-from seaweed.contact import MAX_VERIFY_DIM
 from seaweed.exact import RatMatrix, det, kernel_basis, rank
 from seaweed.liealg import (
     SAMPLE_BOUND,
@@ -29,7 +28,7 @@ from seaweed.liealg import (
     squared_identity_holds,
     wedge_volume_coefficient,
 )
-from seaweed.standard_form import SeaweedSpec, materialize
+from seaweed.standard_form import SeaweedSpec, materialize, spec_pairs
 
 
 def sl2() -> LieAlgebra:
@@ -195,6 +194,31 @@ def test_index_deterministic_under_seed(three_dim_solvable):
     assert a == b
 
 
+def test_index_does_not_depend_on_the_oracle_prime(monkeypatch):
+    """The prime decides only which trials settle mod p. At p = 3 more
+    trials miss the parity floor mod p and run the exact rank than at the
+    oracle's prime, and every answer stays the same."""
+    algebras = [materialize(sp) for n in range(1, 5) for sp in spec_pairs(n)]
+    default = liealg._PRIME
+    exact_runs = {}
+    answers = {}
+    rank_int = _kernels.rank_int
+    for p in (3, 65537, default):
+        runs = 0
+
+        def counted(rows):
+            nonlocal runs
+            runs += 1
+            return rank_int(rows)
+
+        monkeypatch.setattr(liealg, "_PRIME", p)
+        monkeypatch.setattr(_kernels, "rank_int", counted)
+        answers[p] = [index_randomized(L, seed=s) for L in algebras for s in (1, 2, 3)]
+        exact_runs[p] = runs
+    assert answers[3] == answers[65537] == answers[default]
+    assert exact_runs[3] > exact_runs[default]
+
+
 def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
     """2|18 / 20 has dim 363 and index 1. Its first sampled Kirillov form
     reaches the parity floor mod p, so the oracle settles it with one mod-p
@@ -210,18 +234,52 @@ def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
 
 def test_oracle_prime_is_prime():
     p = liealg._PRIME
-    assert p > 2 and all(p % q for q in range(2, 11587))
-    assert 11586**2 > p
+    assert p > 2 and all(p % q for q in range(2, 4096))
+    assert 4096**2 > p
+
+
+def _fits_one_word(n, p):
+    """Whether a packed mod-p slot of an n-row matrix, which must hold
+    (p-1) + n (p-1)^2, fits one 64-bit word."""
+    return (p - 1) + n * (p - 1) ** 2 < 2**64
 
 
 def test_oracle_prime_keeps_every_packed_slot_in_one_word():
-    """A slot of the packed mod-p rank is one 64-bit field for every matrix
-    up to the CLI's dimension cap, and needs a second field one column
-    beyond it: a prime change that widens the slots at the cap fails here."""
-    *_, words, _ = _kernels.pure._slot_layout(MAX_VERIFY_DIM, liealg._PRIME)
-    assert words == 0
-    *_, words, _ = _kernels.pure._slot_layout(MAX_VERIFY_DIM + 1, liealg._PRIME)
-    assert words > 0
+    """The oracle's prime fits one 64-bit slot up to 2^16 columns, past any
+    B_phi a dense list can hold, and no larger prime does. ``rank_mod``
+    refuses a matrix one row past a prime's bound and ranks one at it, and
+    a 1,100-row matrix, past the 1,024 columns of the previous prime, takes
+    the same path."""
+    p = liealg._PRIME
+    assert _fits_one_word(2**16, p)
+    assert _fits_one_word(2**16, 2**24) and not _fits_one_word(2**16, 2**24 + 1)
+    # every q in (p, 2^24] is composite
+    assert all(any(q % f == 0 for f in range(2, 4097)) for q in range(p + 1, 2**24 + 1))
+    # the bound is checked before the rows are read
+    with pytest.raises(ValueError, match="overflow"):
+        _kernels.rank_mod([[]] * (2**16 + 1), p)
+    with pytest.raises(ValueError, match="not skew"):
+        _kernels.rank_mod([[]] * 2**16, p)
+    q = 2**31 - 1
+    assert _fits_one_word(4, q) and not _fits_one_word(5, q)
+    rows = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+    assert _kernels.rank_mod(rows, q) == 4
+    with pytest.raises(ValueError, match="overflow"):
+        _kernels.rank_mod([[0] * 5 for _ in range(5)], q)
+    # block diagonal of 550 pairs, every third pair zero: rank 2 * 366
+    n = 1100
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n // 2):
+        if k % 3:
+            a = (k * 7919) % (p - 1) + 1
+            rows[2 * k][2 * k + 1] = a
+            rows[2 * k + 1][2 * k] = -a
+    assert _kernels.rank_mod(rows, p) == 732
+    # the Heisenberg algebra of dim 1101, [x_i, y_i] = z, has index 1
+    heis = LieAlgebra.from_table(
+        1101, [f"e{i}" for i in range(1101)], {(i, 550 + i): {1100: 1} for i in range(550)}
+    )
+    assert index_randomized(heis, seed=3) == 1
 
 
 def test_index_rejects_bad_trials(three_dim_solvable):

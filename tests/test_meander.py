@@ -411,6 +411,90 @@ def test_gcd_matches_meander_small():
 
 
 # ---------------------------------------------------------------------------
+# signature moves: a third exact index, from the parts alone
+# ---------------------------------------------------------------------------
+
+def signature_counts(top, bottom):
+    """(C, P) of the meander of top / bottom by the signature moves of Coll,
+    Hyatt, Magnant & Wang (2015) on the first parts a1 and b1. Only component
+    elimination changes the counts; the reduction reads parts, not arcs."""
+    # first parts last, so each move acts on the ends of the lists
+    a, b = list(reversed(top)), list(reversed(bottom))
+    C = P = 0
+    while a:
+        if a[-1] < b[-1]:
+            a, b = b, a  # flip
+        a1, b1 = a[-1], b[-1]
+        if a1 == b1:
+            # component elimination: a1 // 2 cycles, and a bare middle
+            # vertex (a path) when a1 is odd
+            a.pop()
+            b.pop()
+            C += a1 // 2
+            P += a1 % 2
+        elif a1 == 2 * b1:
+            # block elimination
+            a[-1] = b1
+            b.pop()
+        elif a1 < 2 * b1:
+            # rotation contraction
+            a[-1] = b1
+            b[-1] = 2 * b1 - a1
+        else:
+            # pure contraction: the top becomes a1 - 2 b1 | b1 | a2 | ...
+            a[-1] = b1
+            a.append(a1 - 2 * b1)
+            b.pop()
+    return C, P
+
+
+def test_signature_moves_match_counts_on_every_spec_through_n9():
+    checked = 0
+    for n in range(1, 10):
+        for sp in spec_pairs(n):
+            assert signature_counts(sp.top.parts, sp.bottom.parts) == counts(
+                build_meander(sp)
+            ), sp.text()
+            checked += 1
+    assert checked == sum(4 ** (n - 1) for n in range(1, 10)) == 87381
+
+
+@st.composite
+def _large_specs(draw):
+    """Specs with n up to 400, with few to very many parts on each side. The
+    cuts come from a drawn seed: one Hypothesis draw per cut is slow."""
+    n = draw(st.integers(1, 400))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def composition():
+        density = rng.choice([0.01, 0.1, 0.5, 0.9])
+        cuts = [0] + [c for c in range(1, n) if rng.random() < density] + [n]
+        return Composition(tuple(y - x for x, y in zip(cuts, cuts[1:])))
+
+    return SeaweedSpec(composition(), composition())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_specs())
+def test_signature_moves_match_counts_on_large_specs(sp):
+    assert signature_counts(sp.top.parts, sp.bottom.parts) == counts(build_meander(sp))
+
+
+def test_signature_moves_give_the_gcd_and_one_part_indices():
+    for a in range(1, 40):
+        for c in range(1, 40):
+            got = index_from_counts(*signature_counts((a, c), (a + c,)))
+            assert got == index_gcd_2part(a, c), (a, c)
+    for a in range(1, 14):
+        for b in range(1, 14):
+            for c in range(1, 14):
+                got = index_from_counts(*signature_counts((a, b, c), (a + b + c,)))
+                assert got == index_gcd_3part(a, b, c), (a, b, c)
+    for n in range(1, 200):
+        assert index_from_counts(*signature_counts((n,), (n,))) == n - 1
+
+
+# ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 

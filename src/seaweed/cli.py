@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import random
@@ -213,30 +214,36 @@ def _composition_table(n: int) -> tuple[tuple[str, Composition], ...]:
     return tuple(sorted((c.text(), c) for c in map(Composition, compositions(n))))
 
 
-def _census_row(task: tuple[int, int, int, bool, int | None]) -> tuple[str, ...]:
-    """One census row from (n, top position, bottom position, classify,
-    index filter): dim, index, cycles and paths from counts alone; only an
+def _census_rows(task: tuple[int, int, bool, int | None]) -> list[tuple[str, ...]]:
+    """The census rows of one top composition over every bottom, in
+    ``_composition_table`` order, from (n, top position, classify, index
+    filter). A row whose index fails the filter is dropped before any string
+    is built; dim, index, cycles and paths come from counts alone, and only an
     index-one row that is classified or verified synthesizes."""
-    n, t, b, classify, index_filter = task
+    n, t, classify, index_filter = task
     table = _composition_table(n)
     top_text, top = table[t]
-    bottom_text, bottom = table[b]
-    spec = SeaweedSpec(top, bottom)
-    C, P = counts(build_meander(spec))
-    idx = index_from_counts(C, P)
-    row = [top_text, bottom_text, str(seaweed_dim(spec)), str(idx), str(C), str(P)]
-    case = ""
-    verified = ""
-    if idx == 1 and (classify or index_filter == 1):
-        cert = synthesize_contact(spec)
-        case = cert.case
+    rows = []
+    for bottom_text, bottom in table:
+        spec = SeaweedSpec(top, bottom)
+        C, P = counts(build_meander(spec))
+        idx = index_from_counts(C, P)
+        if index_filter is not None and idx != index_filter:
+            continue
+        row = (top_text, bottom_text, str(seaweed_dim(spec)), str(idx), str(C), str(P))
+        case = ""
+        verified = ""
+        if idx == 1 and (classify or index_filter == 1):
+            cert = synthesize_contact(spec)
+            case = cert.case
+            if index_filter == 1:
+                verified = "yes" if verify_certificate(cert) else "NO"
+        if classify:
+            row += (case,)
         if index_filter == 1:
-            verified = "yes" if verify_certificate(cert) else "NO"
-    if classify:
-        row.append(case)
-    if index_filter == 1:
-        row.append(verified)
-    return tuple(row)
+            row += (verified,)
+        rows.append(row)
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -247,15 +254,17 @@ def _usable_cpus() -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    """Census rows in (top, bottom) text order. CSV rows stream to stdout as
-    they are computed, so a row that raises leaves the earlier rows on stdout;
-    the table collects its rows for the column widths.
+    """Census rows in (top, bottom) text order, one task per top composition.
+    CSV rows are written one top's batch at a time as the batches come in, so
+    a row that raises leaves the earlier tops' rows on stdout; the table
+    collects every batch for the column widths.
 
-    A task names its two compositions by position in ``_composition_table``,
-    so a pooled task pickles a few ints and each worker builds the table once.
-    ``--jobs`` must be at least 1; at most as many workers start as there are
-    usable CPUs, and one worker runs in process. The output is the same for
-    any worker count."""
+    A task names its top by position in ``_composition_table``, so a pooled
+    task pickles a few ints and each worker builds the table once; the worker
+    drops the rows that fail ``--index-filter`` and sends back the rest of
+    the top's rows together. ``--jobs`` must be at least 1; at most as many
+    workers start as there are usable CPUs, and one worker runs in process.
+    The output is the same for any worker count."""
     n = args.n
     if not 1 <= n <= 12:
         print("seaweed: n must be between 1 and 12", file=sys.stderr)
@@ -264,10 +273,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"seaweed: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     workers = min(args.jobs, _usable_cpus())
-    size = len(_composition_table(n))
-    tasks = (
-        (n, t, b, args.classify, args.index_filter) for t in range(size) for b in range(size)
-    )
+    tasks = [
+        (n, t, args.classify, args.index_filter) for t in range(len(_composition_table(n)))
+    ]
     header = ["top", "bottom", "dim", "index", "cycles", "paths"]
     if args.classify:
         header.append("case")
@@ -275,21 +283,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         header.append("verified")
     failures = 0
 
-    def kept(rows):
+    def counted(batches):
         nonlocal failures
-        for r in rows:
-            if args.index_filter is None or r[3] == str(args.index_filter):
-                failures += args.index_filter == 1 and r[-1] != "yes"
-                yield r
+        for batch in batches:
+            if args.index_filter == 1:
+                failures += sum(r[-1] != "yes" for r in batch)
+            yield batch
 
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        rows = kept(pool.map(_census_row, tasks, chunksize=64) if pool else map(_census_row, tasks))
+        batches = counted(pool.map(_census_rows, tasks) if pool else map(_census_rows, tasks))
         if args.csv:
             writer = csv.writer(sys.stdout)
             writer.writerow(header)
-            writer.writerows(rows)
+            for batch in batches:
+                writer.writerows(batch)
         else:
-            table = list(rows)
+            table = list(itertools.chain.from_iterable(batches))
             widths = [max(map(len, column)) for column in zip(header, *table)]
             print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
             for r in table:
@@ -403,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers; they pay only when rows synthesize (--classify, "
-        "--index-filter 1), since a plain row costs less than sending it back",
+        help="parallel workers, each computing the rows of one top composition "
+        "at a time",
     )
     p.add_argument("--csv", action="store_true", help="CSV instead of a table")
     p.set_defaults(func=cmd_enumerate)

@@ -464,17 +464,32 @@ def test_enumerate_filter_verifies(capsys):
     assert err == "verification failures: 0\n"
 
 
+def test_enumerate_counts_verification_failures(capsys, monkeypatch):
+    rejected = SeaweedSpec.parse("1|2 / 1|1|1")
+    monkeypatch.setattr(
+        seaweed.cli, "verify_certificate", lambda cert: cert.spec != rejected
+    )
+    rc, out, err = run(capsys, "enumerate", "3", "--index-filter", "1", "--csv", "--jobs", "1")
+    lines = out.splitlines()
+    assert rc == 1 and err == "verification failures: 1\n"
+    assert "1|2,1|1|1,3,1,0,2,NO" in lines
+    assert sum(line.endswith(",yes") for line in lines[1:]) == len(lines) - 2 == 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("4", "--index-filter", "1", "--csv"),
         ("5", "--csv"),
         ("5", "--classify", "--csv"),
+        ("6", "--index-filter", "2"),
+        ("8", "--csv"),
     ],
-    ids=["filter1-n4", "csv-n5", "classify-n5"],
+    ids=["filter1-n4", "csv-n5", "classify-n5", "table-filter2-n6", "csv-n8"],
 )
 def test_enumerate_parallel_matches_serial(capsys, argv):
-    # the tasks carry composition positions; each worker builds its own table
+    # the tasks carry top positions and each worker builds its own table; the
+    # workers drop filtered rows, and n = 8 sends 128 batches back in order
     rc1, serial, _ = run(capsys, "enumerate", *argv)
     rc2, parallel, _ = run(capsys, "enumerate", *argv, "--jobs", "2")
     assert rc1 == rc2 == 0 and serial == parallel
@@ -542,11 +557,13 @@ def test_enumerate_table_format(capsys):
 def test_enumerate_rows_follow_text_order(capsys, monkeypatch):
     # "10" sorts before "1|9" as text, while (10,) follows (1, 9) as a tuple
     text = {p: Composition(p).text() for p in compositions(10)}
-    table = seaweed.cli._composition_table(10)  # tasks name compositions by position
+    table = seaweed.cli._composition_table(10)  # tasks name tops by position
     monkeypatch.setattr(
         seaweed.cli,
-        "_census_row",
-        lambda task: (text[table[task[1]][1].parts], text[table[task[2]][1].parts]),
+        "_census_rows",
+        lambda task: [
+            (text[table[task[1]][1].parts], text[bottom.parts]) for _, bottom in table
+        ],
     )
     rc, out, _ = run(capsys, "enumerate", "10", "--csv")
     rows = list(csv.reader(io.StringIO(out, newline="")))[1:]

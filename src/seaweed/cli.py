@@ -152,6 +152,9 @@ def cmd_meander(args: argparse.Namespace) -> int:
 
 
 def cmd_contact(args: argparse.Namespace) -> int:
+    if args.k_max < 1:
+        print(f"seaweed: --k-max must be at least 1, got {args.k_max}", file=sys.stderr)
+        return 2
     spec = _parse_spec(args.spec)
     _check_buildable(spec)
     try:

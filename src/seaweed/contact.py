@@ -25,7 +25,6 @@ from . import _kernels
 from .liealg import (
     CoeffForm,
     LieAlgebra,
-    ParityError,
     _bordered_det,
     _wedge_coefficient,
     bhat_det,
@@ -345,8 +344,7 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
         raise WrongCaseError(
             f"{spec.text()}: {rep.C} cycles + {rep.P} paths, need exactly two paths"
         )
-    if seaweed_dim(spec) % 2 == 0:
-        raise ParityError(f"{spec.text()} has even dimension {seaweed_dim(spec)}")
+    # index 1, so the dimension is odd: dim - 1 is the rank of a skew form
     n = spec.n
     p1, p2 = rep.paths  # ordered by smallest vertex, so p1 contains vertex 1
     in_p1 = set(p1.vertices)
@@ -428,33 +426,29 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
             spec=spec, case="SL2", basis=basis, form=form, k=None, det_value=dval
         )
 
-    tparts, bparts = spec.top.parts, spec.bottom.parts
-    order = [("top", 0), ("top", len(tparts) - 1), ("bottom", 0), ("bottom", len(bparts) - 1)]
-    chosen = None
-    for side, pi in order:
-        parts = tparts if side == "top" else bparts
-        if parts[pi] >= 4:
-            chosen = (side, pi, parts)
-            break
-    if chosen is None:
+    # the first end block of size >= 4: top first, then bottom, each side's
+    # first block before its last
+    ends = [
+        (side, comp, b)
+        for side, comp in (("top", spec.top), ("bottom", spec.bottom))
+        for b in (0, len(comp.parts) - 1)
+        if comp.parts[b] >= 4
+    ]
+    if not ends:
         raise TheoremViolationError(
             f"single-cycle meander of {spec.text()} has no end part of size >= 4"
         )
-    side, pi, parts = chosen
-    s = parts[pi]
-    p = 1 + sum(parts[:pi])
-    q = p + s - 1
-    new_parts = parts[:pi] + (1, s - 2, 1) + parts[pi + 1 :]
-    if side == "top":
-        gprime = SeaweedSpec(Composition(new_parts), spec.bottom)
-        gens = [MatrixUnit(i, p) for i in range(p + 1, q + 1)]
-        gens += [MatrixUnit(q, j) for j in range(p + 1, q)]
-        center = MatrixUnit(q, p)
-    else:
-        gprime = SeaweedSpec(spec.top, Composition(new_parts))
-        gens = [MatrixUnit(p, j) for j in range(p + 1, q + 1)]
-        gens += [MatrixUnit(i, q) for i in range(p + 1, q)]
-        center = MatrixUnit(p, q)
+    side, comp, b = ends[0]
+    p, q = comp.blocks()[b]
+    cut = Composition(comp.parts[:b] + (1, q - p - 1, 1) + comp.parts[b + 1 :])
+    gprime = SeaweedSpec(cut, spec.bottom) if side == "top" else SeaweedSpec(spec.top, cut)
+    # the removed arc's Heisenberg generators, then its center, as units of
+    # a top block; a bottom block holds their transposes
+    heisenberg = [(i, p) for i in range(p + 1, q + 1)] + [(q, j) for j in range(p + 1, q)]
+    heisenberg.append((q, p))
+    if side == "bottom":
+        heisenberg = [(j, i) for i, j in heisenberg]
+    *gens, center = heisenberg
     mprime = build_meander(gprime)
     if index_from_counts(*counts(mprime)) != 0:
         raise TheoremViolationError(
@@ -464,17 +458,15 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
     fbar = _regular_form(mprime)
     samples = []
     for k in range(1, k_max + 1):
-        form = fbar.plus(
-            OneForm.from_terms(n, [((center.i, center.j), Fraction(k))])
-        )
+        form = fbar.plus(OneForm.from_terms(n, [(center, Fraction(k))]))
         dval = bhat_det(checked, form.as_dict())
         if dval != 0:
             aux = {
                 "removed_edge": [p, q],
                 "side": side,
                 "g_prime": gprime.text(),
-                "heisenberg": [[g.i, g.j] for g in gens],
-                "center": [center.i, center.j],
+                "heisenberg": [list(g) for g in gens],
+                "center": list(center),
             }
             return ContactCertificate(
                 spec=spec,

@@ -10,11 +10,13 @@ dense one of the same size, and ``rank`` of one runs the 2 x 2-pivot skew
 elimination behind ``_kernels.rank_int``. Any other det or rank, and inverse
 and kernel, run the one dense fraction-free Bareiss loop.
 ``_clear_denominators`` is the one place in the package that turns Fractions
-into integers and a common denominator. Within the library ``RatMatrix``
-serves only ``materialize``'s inverse, which the index oracle and the other
-structure-table users reach: the integer Kirillov and bordered matrices of
-``liealg``, and the contact searches and certificate verification, which
-evaluate B_phi by trace pairing on a checked basis, never pass through it.
+into integers and a common denominator. Within the library two functions
+build a ``RatMatrix``: ``materialize``, for the inverse behind its structure
+table, which the index oracle and the other structure-table users reach, and
+``liealg.kirillov_matrix``, for its return value. The integer Kirillov and
+bordered matrices of ``liealg``, and the contact searches and certificate
+verification, which evaluate B_phi by trace pairing on a checked basis,
+never pass through it.
 """
 from __future__ import annotations
 

@@ -2,9 +2,10 @@
 
 A seaweed is cut out of sl(n) by two compositions of n: the top composition
 owns the lower triangle (block-diagonal lower part), the bottom composition
-owns the upper triangle. Each composition builds and checks its meander
-arcs once, as an ``Arcs`` side with its partner list. This module knows
-which matrix locations are admissible, builds the standard basis (diagonal
+owns the upper triangle. Each composition builds its per-vertex block table
+and its checked meander arcs (an ``Arcs`` side with its partner list) once.
+This module knows which matrix locations are admissible (``admissible`` is
+the one place that rule is written), builds the standard basis (diagonal
 differences first, then the admissible units in row-major order), checks
 that a given basis is a full one (``check_basis``), evaluates one-forms
 given as dual matrices on such a basis by trace pairing, and materializes the
@@ -153,13 +154,13 @@ class Composition:
                 hi -= 1
         return Arcs(self.n, arcs)
 
-    def block_of(self) -> dict[int, int]:
-        """vertex -> index of the block containing it."""
-        owner = {}
-        for b, (lo, hi) in enumerate(self.blocks()):
-            for v in range(lo, hi + 1):
-                owner[v] = b
-        return owner
+    @cached_property
+    def owner(self) -> tuple[int, ...]:
+        """The per-vertex block table: ``owner[v]`` is the index of the block
+        holding vertex v for v in 1..n (``owner[0]`` is -1). Built at most
+        once per object and, like ``arcs``, outside eq, hash and repr; only
+        ``admissible`` compares its entries."""
+        return (-1,) + tuple(b for b, p in enumerate(self.parts) for _ in range(p))
 
     def text(self) -> str:
         return "|".join(str(p) for p in self.parts)
@@ -367,32 +368,24 @@ def admissible(spec: SeaweedSpec, i: int, j: int) -> bool:
     """Whether location (i, j) can be nonzero in the seaweed.
 
     Diagonal always; strictly lower iff i and j share a top block; strictly
-    upper iff they share a bottom block.
+    upper iff they share a bottom block. This is the one place the rule is
+    written: ``standard_basis`` and ``check_basis`` ask it.
     """
-    n = spec.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{n}")
-    if i == j:
-        return True
-    if i > j:
-        owner = spec.top.block_of()
-    else:
-        owner = spec.bottom.block_of()
+    owner = spec.top.owner if i > j else spec.bottom.owner
+    if not (0 < i < len(owner) and 0 < j < len(owner)):
+        raise ValueError(f"indices ({i}, {j}) out of range 1..{spec.n}")
     return owner[i] == owner[j]
 
 
 def standard_basis(spec: SeaweedSpec) -> list[BasisLabel]:
-    """Diagonal differences h(1)..h(n-1), then admissible units row-major."""
+    """Diagonal differences h(1)..h(n-1), then the units ``admissible``
+    accepts, row-major."""
     n = spec.n
     labels: list[BasisLabel] = [DiagDiff(i) for i in range(1, n)]
-    top_owner = spec.top.block_of()
-    bottom_owner = spec.bottom.block_of()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i > j and top_owner[i] == top_owner[j]:
-                labels.append(MatrixUnit(i, j))
-            elif i < j and bottom_owner[i] == bottom_owner[j]:
-                labels.append(MatrixUnit(i, j))
+    vertices = range(1, n + 1)
+    labels += [
+        MatrixUnit(i, j) for i in vertices for j in vertices if i != j and admissible(spec, i, j)
+    ]
     return labels
 
 
@@ -500,9 +493,9 @@ def check_basis(
 ) -> SeaweedBasis:
     """The given (or standard) basis of the seaweed, checked to be a full one.
 
-    It needs seaweed_dim(spec) labels, every unit admissible (its two
-    vertices in one block of the side that owns its triangle) and listed
-    once, and diagonal labels that form a basis of the traceless diagonals.
+    It needs seaweed_dim(spec) labels, every unit admissible (``admissible``
+    reads each side's cached block table) and listed once, and diagonal
+    labels that form a basis of the traceless diagonals.
     h(i) has h-coordinates e_i, so that holds exactly when the h(i) are
     distinct and the custom diagonals' h-coordinates, restricted to the
     coordinates no h(i) covers, have a nonzero determinant; for the standard
@@ -518,14 +511,12 @@ def check_basis(
             f"basis has {dim} labels, {spec.text()} has dimension {seaweed_dim(spec)}"
         )
 
-    top_owner, bottom_owner = spec.top.block_of(), spec.bottom.block_of()
     units: dict[tuple[int, int], int] = {}
     diag_pos: list[int] = []
     for pos, lab in enumerate(labels):
         if isinstance(lab, MatrixUnit):
-            i, j = key = (lab.i, lab.j)
-            owner = top_owner if i > j else bottom_owner
-            if owner[i] != owner[j]:
+            key = (lab.i, lab.j)
+            if not admissible(spec, *key):
                 raise SpanError(f"unit {label_str(lab)} is not admissible for {spec.text()}")
             if key in units:
                 raise SpanError(f"duplicate unit {label_str(lab)}")

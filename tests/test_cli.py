@@ -206,6 +206,15 @@ def test_contact_not_index_one(capsys):
     assert rc == 4 and "index 4, not 1" in err and "Frobenius" not in err
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+@pytest.mark.parametrize("text", ["4 / 2|2", "1|3|3 / 7"])  # one cycle; two paths
+def test_contact_rejects_k_max_below_one(capsys, text, k_max):
+    # bad input whatever the meander's shape: exit 2 and one line on stderr
+    rc, out, err = run(capsys, "contact", text, "--k-max", k_max)
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: --k-max must be at least 1, got {k_max}\n"
+
+
 def test_contact_verify_round_trip(capsys, tmp_path):
     path = tmp_path / "cert.json"
     rc, out, _ = run(capsys, "contact", "2|6 / 8", "--out", str(path))

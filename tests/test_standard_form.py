@@ -43,13 +43,18 @@ def test_composition_basics():
     c = Composition.parse("2|6")
     assert c.parts == (2, 6) and c.n == 8
     assert c.blocks() == [(1, 2), (3, 8)]
-    assert c.block_of()[3] == 1
     assert c.text() == "2|6"
     fresh = Composition((2, 6))
     assert c.arcs == ((1, 2), (3, 8), (4, 7), (5, 6)) and c.arcs is c.arcs
-    # the cached arcs stay out of eq, hash and repr, and survive pickling
+    # the cached block table holds each vertex's block, read off blocks()
+    assert c.owner is c.owner and len(c.owner) == c.n + 1
+    for b, (lo, hi) in enumerate(c.blocks()):
+        assert all(c.owner[v] == b for v in range(lo, hi + 1))
+    # the cached arcs and block table stay out of eq, hash and repr, and
+    # survive pickling
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
-    assert pickle.loads(pickle.dumps(c)).arcs == c.arcs
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == fresh and copy.arcs == c.arcs and copy.owner == c.owner
 
 
 def test_composition_rejects_garbage():
@@ -200,14 +205,25 @@ def test_dim_formula_examples():
 
 
 def test_dim_equals_basis_length_and_brute_count():
-    for sp in spec_pairs(5):
-        brute = sum(
-            1
-            for i in range(1, 6)
-            for j in range(1, 6)
-            if i != j and admissible(sp, i, j)
-        )
-        assert seaweed_dim(sp) == len(standard_basis(sp)) == 4 + brute
+    # the units come from the blocks() ranges here, not from admissible,
+    # which standard_basis itself asks
+    for n in range(1, 6):
+        for sp in spec_pairs(n):
+            # (i, j) strictly below the diagonal of a top block, or above
+            # it in a bottom block
+            lower = {
+                (i, j) for lo, hi in sp.top.blocks() for i in range(lo, hi + 1)
+                for j in range(lo, i)
+            }
+            upper = {
+                (i, j) for lo, hi in sp.bottom.blocks() for j in range(lo, hi + 1)
+                for i in range(lo, j)
+            }
+            brute = lower | upper
+            basis = standard_basis(sp)
+            units = {(lab.i, lab.j) for lab in basis if isinstance(lab, MatrixUnit)}
+            assert units == brute, sp.text()
+            assert seaweed_dim(sp) == len(basis) == n - 1 + len(brute), sp.text()
 
 
 def test_dim_equals_basis_length_for_every_small_spec():

@@ -43,15 +43,25 @@ as lists:
   Sylvester's identity, Pf(S) Pf(S+ijkl) = Pf(S+ij) Pf(S+kl)
   - Pf(S+ik) Pf(S+jl) + Pf(S+il) Pf(S+jk). A Pfaffian has half the bits of
   the determinant of the same minor. A row pays only the products whose
-  factor P[k] or Q[k] is nonzero, and one with P[k] = Q[k] = 0 still gets
-  the a // prev scale. Column s is deleted from each row in place.
+  factor P[k] or Q[k] is nonzero. Column s is deleted from each row in
+  place;
+- a row with P[k] = Q[k] = 0 would only be scaled by a / prev. As in
+  ``_sparse_pfaffian`` below, it is skipped and keeps a stamp, the prev it
+  was last exact at, and its true entries are stored * prev // stamp. The
+  scale is applied where the row is read: as the pivot row, as the
+  partner row s, through Q's column tail (Q[k] = -a[k][s], read from row k
+  for k > s), and when a later step updates the row. The a / prev factors
+  telescope, so every division stays exact. The index oracle hands the
+  kernel B_phi in a fill-reducing order (``liealg._elimination_order``),
+  where most rows of a step are skipped.
 
 It stays on lists because its entries are minors of unbounded size: no
 fixed slot width holds them.
 
 Every update must act on rows and columns alike. Scaling a stored triangle
 row on its own (say, row k by a) scales half of row k and half of column k,
-which is no congruence, and gives wrong ranks.
+which is no congruence, and gives wrong ranks. A stamp changes no entry of
+the matrix the rows stand for, only how row k stores its own.
 
 ``rank_mod`` raises ``ValueError`` on input that is not skew; its one
 caller, the index oracle, sends only Kirillov matrices. Each full row of the
@@ -306,20 +316,29 @@ def _skew_rank(lower: list[list[int]]) -> int:
     """
     prev = 1
     pivots = 0
+    # row k's true entries are lower[k] * prev // stamp[k] (module docstring)
+    stamp = [1] * len(lower)
     while lower:
         last = lower.pop()
+        t = stamp.pop()
         s = len(last) - 1
         while s >= 0 and not last[s]:
             s -= 1
         if s < 0:
             # a zero row: its index lies in the kernel
             continue
+        if t != prev:
+            last = [x * prev // t for x in last]
         # pivot on the pair (n-1, s), a = a[n-1][s]; P = a[n-1][.] and
         # Q = a[s][.] over the other live indices 0..s-1, s+1..n-2
         a = last[s]
         del last[s]
         P = last
-        Q = lower.pop(s) + [-row[s] for row in lower[s:]]
+        Q = lower.pop(s)
+        t = stamp.pop(s)
+        if t != prev:
+            Q = [x * prev // t for x in Q]
+        Q += [-row[s] * prev // t for row, t in zip(lower[s:], stamp[s:])]
         for k, row in enumerate(lower):
             if k >= s:
                 del row[s]
@@ -327,6 +346,12 @@ def _skew_rank(lower: list[list[int]]) -> int:
             # and Q; index k itself comes next
             pk = P[len(row)]
             qk = Q[len(row)]
+            if not (pk or qk):
+                # only scaled by a / prev: the stamp stands for it
+                continue
+            t = stamp[k]
+            if t != prev:
+                row = [x * prev // t for x in row]
             # the update of the module docstring, with only the products
             # whose factor P[k] or Q[k] is nonzero
             if pk:
@@ -334,10 +359,9 @@ def _skew_rank(lower: list[list[int]]) -> int:
                     lower[k] = [(a * x + qk * y - pk * z) // prev for x, y, z in zip(row, P, Q)]
                 else:
                     lower[k] = [(a * x - pk * z) // prev for x, z in zip(row, Q)]
-            elif qk:
+            else:
                 lower[k] = [(a * x + qk * y) // prev for x, y in zip(row, P)]
-            elif a != prev:
-                lower[k] = [x * a // prev for x in row]
+            stamp[k] = a
         prev = a
         pivots += 1
     return 2 * pivots

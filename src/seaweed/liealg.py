@@ -77,6 +77,8 @@ class CoeffForm:
 
 
 SparseVec = tuple[tuple[int, Fraction], ...]
+# the structure constants in integers, sparsely: (i, j) -> [(k, c), ...]
+IntTable = dict[tuple[int, int], list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ class LieAlgebra:
     def pairs(self) -> Iterator[tuple[int, int, SparseVec]]:
         yield from self.table
 
-    def _integer_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+    def _integer_table(self) -> tuple[int, IntTable]:
         """Structure constants with denominators cleared by one global factor."""
         cached = self._int_cache  # type: ignore[attr-defined]
         if cached is not None:
@@ -231,10 +233,15 @@ def kirillov_matrix(L: LieAlgebra, phi: CoeffForm) -> RatMatrix:
     return RatMatrix.from_rows([Fraction(v, s) for v in row] for row in rows)
 
 
-def _kirillov_int_rows(L: LieAlgebra, phi_ints: Sequence[int]) -> list[list[int]]:
+def _kirillov_int_rows(
+    L: LieAlgebra, phi_ints: Sequence[int], table: IntTable | None = None
+) -> list[list[int]]:
     """Rows of den * B_phi for integer phi, den the table's denominator: the
-    one place phi([E_i, E_j]) is evaluated. The scale leaves the rank alone."""
-    _, table = L._integer_table()
+    one place phi([E_i, E_j]) is evaluated. The scale leaves the rank alone.
+    ``table`` defaults to L's integer table; the index oracle passes it
+    relabelled by an elimination order."""
+    if table is None:
+        _, table = L._integer_table()
     d = L.dim
     rows = [[0] * d for _ in range(d)]
     for (i, j), vec in table.items():
@@ -245,6 +252,52 @@ def _kirillov_int_rows(L: LieAlgebra, phi_ints: Sequence[int]) -> list[list[int]
             rows[i][j] = v
             rows[j][i] = -v
     return rows
+
+
+def _elimination_order(L: LieAlgebra) -> list[int]:
+    """pos[i], the basis position of index i for a fill-reducing elimination
+    of every B_phi; a permutation of range(d).
+
+    Greedy minimum-degree pairing (George & Liu 1981; Amestoy, Davis & Duff
+    1996) on the nonzero pattern of the structure table, which holds the
+    pattern of every B_phi: take the live index v of least degree, pair it
+    with u, its least-degree neighbour, add the fill N(v) x N(u) of a 2 x 2
+    step on (v, u), and drop both. An index with no live neighbour is
+    dropped alone. Positions are handed out from the top down, so the
+    kernels' shared pivot rule (the last live index pivots with its last
+    nonzero) meets v and then u."""
+    _, table = L._integer_table()
+    adj: list[set[int]] = [set() for _ in range(L.dim)]
+    for i, j in table:
+        adj[i].add(j)
+        adj[j].add(i)
+    pos = [0] * L.dim
+    top = L.dim
+    live = set(range(L.dim))
+    while live:
+        v = min(live, key=lambda k: len(adj[k]))
+        live.remove(v)
+        top -= 1
+        pos[v] = top
+        nv = adj[v]
+        if not nv:
+            continue
+        u = min(nv, key=lambda k: len(adj[k]))
+        live.remove(u)
+        top -= 1
+        pos[u] = top
+        nu = adj[u]
+        nv.discard(u)
+        nu.discard(v)
+        for k in nv | nu:
+            adj[k] -= {v, u}
+        for k in nv:
+            adj[k] |= nu
+        for k in nu:
+            adj[k] |= nv
+        for k in nv & nu:
+            adj[k].discard(k)
+    return pos
 
 
 def index_randomized(
@@ -266,6 +319,14 @@ def index_randomized(
     that fits in memory as a dense list. It decides only which trials settle
     mod p; every other trial runs the exact rank, so the answer does not
     depend on it.
+    The first trial that misses the floor mod p builds a fill-reducing
+    elimination order from the structure table's pattern
+    (``_elimination_order``) and rebuilds its rows in that order; every
+    later trial draws its rows in the order, so both kernels run on it. A
+    trial that settles first never pays for the order. Moving index i to
+    row and column pos[i] gives P B_phi P^T for a permutation matrix P, a
+    congruence, which keeps each trial's rank over Q and mod p, and with
+    them every settle-or-fallback decision and the answer.
     Once any trial hits the floor no later trial can lower the min, so the
     loop returns early with the same value a full run would produce.
     """
@@ -277,11 +338,18 @@ def index_randomized(
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     floor = d % 2
     best: int | None = None
+    ordered = None
     for _ in range(trials):
         phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(d)]
-        rows = _kirillov_int_rows(L, phi)
+        rows = _kirillov_int_rows(L, phi, ordered)
         kd = d - _kernels.rank_mod(rows, _PRIME)
         if kd != floor:
+            if ordered is None:
+                # index i moves to row and column pos[i]
+                pos = _elimination_order(L)
+                _, table = L._integer_table()
+                ordered = {(pos[i], pos[j]): vec for (i, j), vec in table.items()}
+                rows = _kirillov_int_rows(L, phi, ordered)
             kd = d - _kernels.rank_int(rows)
         if best is None or kd < best:
             best = kd

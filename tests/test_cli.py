@@ -504,6 +504,27 @@ def test_enumerate_parallel_matches_serial(capsys, argv):
     assert rc1 == rc2 == 0 and serial == parallel
 
 
+def test_theorem_record_matches_a_fresh_sweep_at_n_7():
+    """THEOREM.json records the index-one census with verified certificates
+    for N = 7, 10, 11 and 12; N = 7 is recomputed through the script that
+    wrote the record, which ties the record to the code."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "scripts"))
+    try:
+        import theorem_sweep
+    finally:
+        sys.path.pop(0)
+    with open(theorem_sweep.RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    runs = {r["n"]: r for r in record["runs"]}
+    assert sorted(runs) == [7, 10, 11, 12]
+    assert all(r["failures"] == 0 for r in runs.values())
+    fresh = theorem_sweep.sweep(7)
+    assert fresh["rows"] == runs[7]["rows"] == 764
+    assert fresh["failures"] == 0
+    assert fresh["sha256"] == runs[7]["sha256"]
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
 

@@ -565,20 +565,9 @@ def _wedge(a, u, v):
             row[l] += u[k] * v[l] - v[k] * u[l]
 
 
-@st.composite
-def planted_skew(draw):
-    """A skew matrix whose first pivot step in ``_skew_rank`` meets every
-    row update form, on a low-rank remainder.
-
-    The last index n-1 pivots with s, the last nonzero of its row. With
-    a = e(n-1) ^ y + e(s) ^ z + R, where R is a few sparse rank-2 terms that
-    vanish on n-1 and s, row n-1 is y and row s is z away from n-1 and s, so
-    y[k] and z[k] are P[k] and Q[k]. Below s the rows get P only, Q only,
-    both and neither (a rescale by the pivot |y[s]| >= 2); above s, where
-    y is zero by the choice of s, Q only or neither. Some rows of the
-    "neither" kind are zero rows, and the remainder's own pivots meet the
-    forms again at random."""
-    rng = draw(st.randoms(use_true_random=False))
+def _planted(rng):
+    """planted_skew's matrix, with its pivot partner s and each other row's
+    form: {k: "P" | "Q" | "both" | "neither"} for k not in {n-1, s}."""
     n = rng.randint(6, 18)
     s = rng.randint(4, n - 2)
     bound = rng.choice([3, 10**6])
@@ -617,7 +606,64 @@ def planted_skew(draw):
     e = [0] * n
     e[s] = 1
     _wedge(a, e, z)
+    return a, s, dict(zip(others, forms)), zero
+
+
+@st.composite
+def planted_skew(draw):
+    """A skew matrix whose first pivot step in ``_skew_rank`` meets every
+    row update form, on a low-rank remainder.
+
+    The last index n-1 pivots with s, the last nonzero of its row. With
+    a = e(n-1) ^ y + e(s) ^ z + R, where R is a few sparse rank-2 terms that
+    vanish on n-1 and s, row n-1 is y and row s is z away from n-1 and s, so
+    y[k] and z[k] are P[k] and Q[k]. Below s the rows get P only, Q only,
+    both and neither (a rescale by the pivot |y[s]| >= 2); above s, where
+    y is zero by the choice of s, Q only or neither. Some rows of the
+    "neither" kind are zero rows, and the remainder's own pivots meet the
+    forms again at random."""
+    a, _, _, zero = _planted(draw(st.randoms(use_true_random=False)))
     return a, zero
+
+
+@st.composite
+def stale_skew(draw):
+    """planted_skew's matrix on the indices below h, under m >= 2 pivot
+    pairs that ``_skew_rank`` takes first, so that rows skipped for two or
+    more steps are read at each place the kernel reads a row.
+
+    Pair t is (h+2t+1, h+2t) with a pivot entry of size >= 2, taken from the
+    top down. Its upper index is coupled to a few rows below h and its lower
+    index to nothing else, so a step updates those rows (by a scale, without
+    fill, which keeps the planted part's rank) and skips every other row:
+    the skipped ones keep their stamps. No pair touches the planted pivot
+    row h-1, its partner s, one row below s that the planted step updates,
+    or one Q-only row above s when there is one. These are read stale after
+    all m steps: as the pivot row, as the partner row, when updated, and
+    through Q's column tail. Each later pair's own rows are read stale as
+    pivot and partner rows, and the coupled rows reach the planted step
+    with stamps of every age. Returns (rows, the untouched planted rows,
+    h)."""
+    rng = draw(st.randoms(use_true_random=False))
+    planted, s, form, _ = _planted(rng)
+    h = len(planted)
+    m = rng.randint(2, 4)
+    n = h + 2 * m
+    bound = rng.choice([3, 10**6])
+    keep = {h - 1, s, rng.choice([k for k in form if k < s and form[k] != "neither"])}
+    above = [k for k in form if k > s and form[k] == "Q"]
+    if above:
+        keep.add(rng.choice(above))
+    coupled = [k for k in range(h) if k not in keep]
+    a = [row + [0] * (2 * m) for row in planted] + [[0] * n for _ in range(2 * m)]
+    for t in range(m):
+        x, y = h + 2 * t + 1, h + 2 * t
+        c = rng.choice([-1, 1]) * rng.randint(2, max(2, bound))
+        a[x][y], a[y][x] = c, -c
+        for k in rng.sample(coupled, rng.randint(0, min(3, len(coupled)))):
+            v = rng.choice([-1, 1]) * rng.randint(1, bound)
+            a[x][k], a[k][x] = v, -v
+    return a, keep, h
 
 
 @settings(max_examples=200, deadline=None)
@@ -629,6 +675,38 @@ def test_skew_rank_update_forms_match_fraction_rank(case):
     assert all(not any(rows[k]) for k in zero)
     assert pure.rank_int(rows) == fraction_rank(rows)
     assert rows == snapshot
+
+
+@settings(max_examples=300, deadline=None)
+@given(stale_skew())
+def test_skew_rank_reads_stale_rows_at_their_true_scale(case):
+    """Rows that pivot steps only rescale keep a stamp in ``_skew_rank``
+    and are scaled when read; a read that skips that scale breaks the exact
+    division or the congruence, and with it the rank."""
+    rows, keep, h = case
+    assert pure._is_skew(rows)
+    assert all(not any(rows[k][h:]) for k in keep)
+    snapshot = [r[:] for r in rows]
+    assert pure.rank_int(rows) == fraction_rank(rows)
+    assert rows == snapshot
+
+
+def _permuted(rng, rows):
+    """P A P^T for a random permutation matrix P."""
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_skew(), st.randoms(use_true_random=False))
+def test_both_ranks_survive_a_simultaneous_permutation_of_planted_input(case, rng):
+    """The index oracle eliminates in a basis order of its choosing: a
+    congruence, which keeps the rank over Q and mod p."""
+    rows, _ = case
+    moved = _permuted(rng, rows)
+    assert pure.rank_int(moved) == pure.rank_int(rows) == fraction_rank(rows)
+    assert pure.rank_mod(moved, ORACLE_PRIME) == pure.rank_mod(rows, ORACLE_PRIME)
 
 
 # Small p, where the rank mod p is often below the rational rank, the index
@@ -700,6 +778,15 @@ def test_rank_mod_matches_modp_row_reduction(case):
     snapshot = [r[:] for r in rows]
     assert pure.rank_mod(rows, p) == modp_rank(rows, p)
     assert rows == snapshot
+
+
+@settings(max_examples=100, deadline=None)
+@given(modp_rank_inputs(), st.randoms(use_true_random=False))
+def test_both_ranks_survive_a_simultaneous_permutation_of_modp_input(case, rng):
+    rows, p = case
+    moved = _permuted(rng, rows)
+    assert pure.rank_mod(moved, p) == pure.rank_mod(rows, p)
+    assert pure.rank_int(moved) == pure.rank_int(rows)
 
 
 def test_rank_mod_reads_a_slot_past_2_63():

@@ -219,12 +219,50 @@ def test_index_does_not_depend_on_the_oracle_prime(monkeypatch):
     assert exact_runs[3] > exact_runs[default]
 
 
-def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank():
+def test_index_does_not_depend_on_the_elimination_order(monkeypatch):
+    """The order only permutes B_phi's basis, a congruence: with the
+    identity in its place, every answer and the number of exact ranks stay
+    the same."""
+    algebras = [materialize(sp) for n in range(1, 6) for sp in spec_pairs(n)]
+    rank_int = _kernels.rank_int
+    exact_runs = {}
+    answers = {}
+    for name, order in (("fill-reducing", liealg._elimination_order),
+                        ("identity", lambda L: list(range(L.dim)))):
+        runs = 0
+
+        def counted(rows):
+            nonlocal runs
+            runs += 1
+            return rank_int(rows)
+
+        monkeypatch.setattr(liealg, "_elimination_order", order)
+        monkeypatch.setattr(_kernels, "rank_int", counted)
+        answers[name] = [index_randomized(L, seed=s) for L in algebras for s in (1, 2, 3)]
+        exact_runs[name] = runs
+    assert answers["fill-reducing"] == answers["identity"]
+    assert exact_runs["fill-reducing"] == exact_runs["identity"] > 0
+
+
+def test_elimination_order_is_a_permutation():
+    for n in range(1, 7):
+        for sp in spec_pairs(n):
+            L = materialize(sp)
+            assert sorted(liealg._elimination_order(L)) == list(range(L.dim))
+
+
+def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank(monkeypatch):
     """2|18 / 20 has dim 363 and index 1. Its first sampled Kirillov form
     reaches the parity floor mod p, so the oracle settles it with one mod-p
-    rank on dense rows of that size."""
+    rank on dense rows of that size, and never builds the elimination
+    order."""
     L = materialize(SeaweedSpec.parse("2|18 / 20"))
     assert L.dim == 363
+
+    def unused(L):
+        raise AssertionError("a settled oracle built the elimination order")
+
+    monkeypatch.setattr(liealg, "_elimination_order", unused)
     assert index_randomized(L, trials=25, seed=1729) == 1
     rng = random.Random(1729)
     phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(L.dim)]

@@ -13,15 +13,13 @@ the Python version and the commit. The CSV is the same for any ``--jobs``,
 so the digests hold on any machine; the wall times belong to the machine
 named in the record.
 
-    python3 scripts/theorem_sweep.py                   # N = 7, 10, 11, 12 into THEOREM.json
-    python3 scripts/theorem_sweep.py --n 7 --output -  # print the record instead
+    python3 scripts/theorem_sweep.py    # N = 7, 10, 11, 12 into THEOREM.json
 
 ``tests/test_cli.py`` recomputes N = 7 and checks its digest against the
 committed ``THEOREM.json``.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -35,17 +33,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "THEOREM.json")
 DEFAULT_NS = (7, 10, 11, 12)
 JOBS = 2
-COMMAND = "python3 -m seaweed enumerate N --index-filter 1 --csv --jobs 2"
+COMMAND = f"python3 -m seaweed enumerate N --index-filter 1 --csv --jobs {JOBS}"
 
 
-def sweep(n: int, jobs: int = JOBS) -> dict:
+def sweep(n: int) -> dict:
     """Run the census of index-one specs of size n and summarize its output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     cmd = [sys.executable, "-m", "seaweed", "enumerate", str(n),
-           "--index-filter", "1", "--csv", "--jobs", str(jobs)]
+           "--index-filter", "1", "--csv", "--jobs", str(JOBS)]
     t0 = time.perf_counter()
     done = subprocess.run(cmd, capture_output=True, env=env, check=False)
     wall = time.perf_counter() - t0
@@ -87,13 +85,9 @@ def _commit() -> str:
         return "unknown"
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_NS))
-    ap.add_argument("--output", default=RECORD, help="record path, or - for stdout")
-    args = ap.parse_args(argv)
+def main() -> int:
     runs = []
-    for n in args.n:
+    for n in DEFAULT_NS:
         runs.append(sweep(n))
         print(json.dumps(runs[-1]), file=sys.stderr)
     record = {
@@ -103,12 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "runs": runs,
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(RECORD, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
     return 1 if any(r["failures"] for r in runs) else 0
 
 

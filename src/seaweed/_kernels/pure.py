@@ -52,8 +52,9 @@ as lists:
   partner row s, through Q's column tail (Q[k] = -a[k][s], read from row k
   for k > s), and when a later step updates the row. The a / prev factors
   telescope, so every division stays exact. The index oracle hands the
-  kernel B_phi in a fill-reducing order (``liealg._elimination_order``),
-  where most rows of a step are skipped.
+  kernel B_phi in the fill-reducing order of ``skew_order``, which pairs
+  indices by minimum degree on the nonzero pattern and places each pair
+  where this pivot rule meets it; there most rows of a step are skipped.
 
 It stays on lists because its entries are minors of unbounded size: no
 fixed slot width holds them.
@@ -135,6 +136,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import add, mod, or_
 from struct import Struct
+from typing import Iterable
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -365,6 +367,52 @@ def _skew_rank(lower: list[list[int]]) -> int:
         prev = a
         pivots += 1
     return 2 * pivots
+
+
+def skew_order(n: int, pattern: Iterable[tuple[int, int]]) -> list[int]:
+    """pos[i], a fill-reducing position for index i of an n x n skew matrix
+    whose nonzeros lie at the pairs of ``pattern``; a permutation of range(n).
+
+    Greedy minimum-degree pairing (George & Liu 1981; Amestoy, Davis & Duff
+    1996), the pivot choice of ``_sparse_pfaffian`` made on the pattern
+    alone: take the live index v of least degree, pair it with u, its
+    least-degree neighbour, add the fill N(v) x N(u) of a 2 x 2 step on
+    (v, u), and drop both. An index with no live neighbour is dropped alone.
+    Positions are handed out from the top down, so the pivot rule of
+    ``_skew_rank`` and ``rank_mod`` (the last live index pivots with its last
+    nonzero) meets v and then u on the matrix with index i moved to row and
+    column pos[i]."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pattern:
+        adj[i].add(j)
+        adj[j].add(i)
+    pos = [0] * n
+    top = n
+    live = set(range(n))
+    while live:
+        v = min(live, key=lambda k: len(adj[k]))
+        live.remove(v)
+        top -= 1
+        pos[v] = top
+        nv = adj[v]
+        if not nv:
+            continue
+        u = min(nv, key=lambda k: len(adj[k]))
+        live.remove(u)
+        top -= 1
+        pos[u] = top
+        nu = adj[u]
+        nv.discard(u)
+        nu.discard(v)
+        for k in nv | nu:
+            adj[k] -= {v, u}
+        for k in nv:
+            adj[k] |= nu
+        for k in nu:
+            adj[k] |= nv
+        for k in nv & nu:
+            adj[k].discard(k)
+    return pos
 
 
 def rank_mod(rows: list[list[int]], p: int) -> int:

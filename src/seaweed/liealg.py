@@ -254,52 +254,6 @@ def _kirillov_int_rows(
     return rows
 
 
-def _elimination_order(L: LieAlgebra) -> list[int]:
-    """pos[i], the basis position of index i for a fill-reducing elimination
-    of every B_phi; a permutation of range(d).
-
-    Greedy minimum-degree pairing (George & Liu 1981; Amestoy, Davis & Duff
-    1996) on the nonzero pattern of the structure table, which holds the
-    pattern of every B_phi: take the live index v of least degree, pair it
-    with u, its least-degree neighbour, add the fill N(v) x N(u) of a 2 x 2
-    step on (v, u), and drop both. An index with no live neighbour is
-    dropped alone. Positions are handed out from the top down, so the
-    kernels' shared pivot rule (the last live index pivots with its last
-    nonzero) meets v and then u."""
-    _, table = L._integer_table()
-    adj: list[set[int]] = [set() for _ in range(L.dim)]
-    for i, j in table:
-        adj[i].add(j)
-        adj[j].add(i)
-    pos = [0] * L.dim
-    top = L.dim
-    live = set(range(L.dim))
-    while live:
-        v = min(live, key=lambda k: len(adj[k]))
-        live.remove(v)
-        top -= 1
-        pos[v] = top
-        nv = adj[v]
-        if not nv:
-            continue
-        u = min(nv, key=lambda k: len(adj[k]))
-        live.remove(u)
-        top -= 1
-        pos[u] = top
-        nu = adj[u]
-        nv.discard(u)
-        nu.discard(v)
-        for k in nv | nu:
-            adj[k] -= {v, u}
-        for k in nv:
-            adj[k] |= nu
-        for k in nu:
-            adj[k] |= nv
-        for k in nv & nu:
-            adj[k].discard(k)
-    return pos
-
-
 def index_randomized(
     L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int | None = None
 ) -> int:
@@ -321,7 +275,7 @@ def index_randomized(
     depend on it.
     The first trial that misses the floor mod p builds a fill-reducing
     elimination order from the structure table's pattern
-    (``_elimination_order``) and rebuilds its rows in that order; every
+    (``_kernels.skew_order``) and rebuilds its rows in that order; every
     later trial draws its rows in the order, so both kernels run on it. A
     trial that settles first never pays for the order. Moving index i to
     row and column pos[i] gives P B_phi P^T for a permutation matrix P, a
@@ -346,8 +300,8 @@ def index_randomized(
         if kd != floor:
             if ordered is None:
                 # index i moves to row and column pos[i]
-                pos = _elimination_order(L)
                 _, table = L._integer_table()
+                pos = _kernels.skew_order(d, table)
                 ordered = {(pos[i], pos[j]): vec for (i, j), vec in table.items()}
                 rows = _kirillov_int_rows(L, phi, ordered)
             kd = d - _kernels.rank_int(rows)

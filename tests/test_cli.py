@@ -516,6 +516,7 @@ def test_theorem_record_matches_a_fresh_sweep_at_n_7():
         sys.path.pop(0)
     with open(theorem_sweep.RECORD, encoding="utf-8") as fh:
         record = json.load(fh)
+    assert record["command"] == theorem_sweep.COMMAND
     runs = {r["n"]: r for r in record["runs"]}
     assert sorted(runs) == [7, 10, 11, 12]
     assert all(r["failures"] == 0 for r in runs.values())

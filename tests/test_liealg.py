@@ -227,8 +227,8 @@ def test_index_does_not_depend_on_the_elimination_order(monkeypatch):
     rank_int = _kernels.rank_int
     exact_runs = {}
     answers = {}
-    for name, order in (("fill-reducing", liealg._elimination_order),
-                        ("identity", lambda L: list(range(L.dim)))):
+    for name, order in (("fill-reducing", _kernels.skew_order),
+                        ("identity", lambda n, pattern: list(range(n)))):
         runs = 0
 
         def counted(rows):
@@ -236,7 +236,7 @@ def test_index_does_not_depend_on_the_elimination_order(monkeypatch):
             runs += 1
             return rank_int(rows)
 
-        monkeypatch.setattr(liealg, "_elimination_order", order)
+        monkeypatch.setattr(_kernels, "skew_order", order)
         monkeypatch.setattr(_kernels, "rank_int", counted)
         answers[name] = [index_randomized(L, seed=s) for L in algebras for s in (1, 2, 3)]
         exact_runs[name] = runs
@@ -248,7 +248,8 @@ def test_elimination_order_is_a_permutation():
     for n in range(1, 7):
         for sp in spec_pairs(n):
             L = materialize(sp)
-            assert sorted(liealg._elimination_order(L)) == list(range(L.dim))
+            _, table = L._integer_table()
+            assert sorted(_kernels.skew_order(L.dim, table)) == list(range(L.dim))
 
 
 def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank(monkeypatch):
@@ -259,10 +260,10 @@ def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank(monkeypatch):
     L = materialize(SeaweedSpec.parse("2|18 / 20"))
     assert L.dim == 363
 
-    def unused(L):
+    def unused(n, pattern):
         raise AssertionError("a settled oracle built the elimination order")
 
-    monkeypatch.setattr(liealg, "_elimination_order", unused)
+    monkeypatch.setattr(_kernels, "skew_order", unused)
     assert index_randomized(L, trials=25, seed=1729) == 1
     rng = random.Random(1729)
     phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(L.dim)]

@@ -12,7 +12,8 @@ Subcommands:
              determinant against the exterior-algebra volume coefficient
 
 Exit codes: 0 success, 1 verification/check failure, 2 bad input, 3 method
-not applicable to the spec, 4 spec is not index one, 5 synthesis failure.
+not applicable to the spec, 4 spec is not index one, 5 a contact construction
+failed that its proof says cannot fail.
 ``contact``, ``oracle`` and ``index --method oracle`` exit 2 before building
 anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``.
 ``oracle --lemma1`` prints the raw max |det - wedge|, but its exit code follows
@@ -35,7 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .contact import (
-    DEFAULT_K_MAX,
     MAX_FORM_ENTRIES_PER_VERTEX,
     MAX_VERIFY_DIM,
     ContactCertificate,
@@ -152,13 +152,10 @@ def cmd_meander(args: argparse.Namespace) -> int:
 
 
 def cmd_contact(args: argparse.Namespace) -> int:
-    if args.k_max < 1:
-        print(f"seaweed: --k-max must be at least 1, got {args.k_max}", file=sys.stderr)
-        return 2
     spec = _parse_spec(args.spec)
     _check_buildable(spec)
     try:
-        cert = synthesize_contact(spec, k_max=args.k_max)
+        cert = synthesize_contact(spec)
     except NotIndexOneError as exc:
         tag = " (Frobenius)" if exc.index == 0 else ""
         print(f"seaweed: {spec.text()} has index {exc.index}{tag}, not 1", file=sys.stderr)
@@ -384,13 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contact", help="synthesize a contact form certificate")
     p.add_argument("spec")
-    p.add_argument(
-        "--k-max",
-        type=int,
-        default=DEFAULT_K_MAX,
-        dest="k_max",
-        help="bound for the center-weight search in the one-cycle case",
-    )
     p.add_argument("--json", action="store_true", help="print the certificate JSON")
     p.add_argument("--out", default=None, help="also write the certificate JSON here")
     p.set_defaults(func=cmd_contact)

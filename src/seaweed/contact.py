@@ -5,8 +5,10 @@ each shape has its own construction. Two paths: perturb the regular form (one
 dual unit per directed meander edge) by a partial-sum diagonal functional,
 chosen so the distinguished diagonal element H is not annihilated. One cycle:
 delete the outermost arc of an end block of size >= 4, which splits the
-algebra into a Frobenius seaweed plus a Heisenberg subalgebra, then restore
-the center direction with a weight k.
+algebra into a Frobenius seaweed plus a Heisenberg subalgebra, then add the
+dual of the Heisenberg center with weight k = 1. Neither construction
+searches: each computes one bordered determinant, which its proof shows is
+nonzero (see ``case1_contact`` and ``case2_contact``).
 
 Every certificate is self-contained: spec, basis, dual matrix and determinant
 are enough for an independent re-verification, so nothing here needs to be
@@ -47,7 +49,6 @@ from .standard_form import (
 )
 
 __all__ = [
-    "DEFAULT_K_MAX",
     "MAX_VERIFY_DIM",
     "MAX_FORM_ENTRIES_PER_VERTEX",
     "OneForm",
@@ -63,8 +64,6 @@ __all__ = [
     "verify_certificate",
     "frobenius_plus_contact_combine",
 ]
-
-DEFAULT_K_MAX = 64
 
 # Largest seaweed dimension verify_certificate accepts. It checks this on
 # seaweed_dim(spec) before building any basis or matrix, so an untrusted
@@ -96,14 +95,8 @@ class WrongCaseError(ValueError):
 
 
 class SynthesisError(RuntimeError):
-    """A bounded search inside a construction came up empty.
-
-    ``samples`` holds the (parameter, determinant) pairs that were tried.
-    """
-
-    def __init__(self, message: str, samples: Iterable[tuple] = ()) -> None:
-        super().__init__(message)
-        self.samples = tuple(samples)
+    """A contact construction failed. The constructions search nothing, so
+    the one failure they raise is the subclass ``TheoremViolationError``."""
 
 
 class TheoremViolationError(SynthesisError):
@@ -320,11 +313,6 @@ def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
     return [row[:h] + row[h + 1 :] for r, row in enumerate(rows) if r != h]
 
 
-def _partial_diag_dual(n: int, i: int) -> OneForm:
-    """Sum of the first i diagonal duals, the dual-matrix reading of h(i)*."""
-    return OneForm.from_terms(n, [((k, k), Fraction(1)) for k in range(1, i + 1)])
-
-
 def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     """Contact form for a two-path meander.
 
@@ -332,11 +320,18 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     versa (negated), replacing h(1) in the basis. The regular form kills
     exactly the line through H, so adding a diagonal functional that sees H
     makes the bordered determinant (phi(H))^2 * det phi(C') nonzero. The
-    diagonal index i must sit at an admissibility gap (not both (i,i+1) and
-    (i+1,i) present, so the functional is not a coboundary there); among
-    those we take the smallest i with phi(H) != 0 and nonzero determinant,
-    which always exists in practice though only existence of a gap is
-    guaranteed.
+    functional is the sum of the first i diagonal duals, for the first
+    admissibility gap i (not both (i,i+1) and (i+1,i) admissible) with
+    phi(H) = H_1 + ... + H_i != 0.
+
+    No later gap can succeed where this one fails. At a gap, no pair e(a,b),
+    e(b,a) of the seaweed straddles i (a <= i < b): if both were admissible,
+    a and b would share a top block and a bottom block, so (i, i+1) and
+    (i+1, i) would be admissible too. The functional pairs only with
+    [e(a,b), e(b,a)] = e(a,a) - e(b,b) for such a pair, so it adds nothing
+    to B_phi, which stays the regular form's. The kernel guard checks that
+    H's row and column of that B_phi are zero, so det Bhat = phi(H)^2 det C',
+    where C' is the guard's nonzero minor.
     """
     meander = build_meander(spec)
     rep = components(meander)
@@ -364,51 +359,50 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
             f"regular form of {spec.text()} does not kill exactly the H line"
         )
 
-    samples = []
-    for i in range(1, n):
-        # the checked basis holds every admissible unit
-        if (i, i + 1) in checked.units and (i + 1, i) in checked.units:
-            continue
-        phi_H = sum(hvals[:i])
-        if phi_H == 0:
-            continue
-        form = fbar.plus(_partial_diag_dual(n, i))
-        dval = bhat_det(checked, form.as_dict())
-        if dval != 0:
-            aux = {
-                "H": [str(x) for x in hvals],
-                "diag_index": i,
-                "paths": [list(p1.vertices), list(p2.vertices)],
-                "phi_H": str(phi_H),
-                "det_c_prime": str(dval / phi_H**2),
-            }
-            return ContactCertificate(
-                spec=spec,
-                case="TwoPaths",
-                basis=basis,
-                form=form,
-                k=None,
-                det_value=dval,
-                auxiliary=aux,
-            )
-        samples.append((i, dval))
-    raise TheoremViolationError(
-        f"no admissibility-gap index gives a nonzero determinant for {spec.text()}",
-        samples=samples,
+    # the checked basis holds every admissible unit
+    units = checked.units
+    gaps = [i for i in range(1, n) if (i, i + 1) not in units or (i + 1, i) not in units]
+    i = next((i for i in gaps if sum(hvals[:i])), None)
+    if i is None:
+        raise TheoremViolationError(f"{spec.text()} has no admissibility gap with phi(H) != 0")
+    phi_H = sum(hvals[:i])
+    form = fbar.plus(OneForm.from_terms(n, [((k, k), Fraction(1)) for k in range(1, i + 1)]))
+    dval = bhat_det(checked, form.as_dict())
+    if dval == 0:
+        raise TheoremViolationError(f"the determinant at gap {i} of {spec.text()} is 0")
+    aux = {
+        "H": [str(x) for x in hvals],
+        "diag_index": i,
+        "paths": [list(p1.vertices), list(p2.vertices)],
+        "phi_H": str(phi_H),
+        "det_c_prime": str(dval / phi_H**2),
+    }
+    return ContactCertificate(
+        spec=spec, case="TwoPaths", basis=basis, form=form, k=None, det_value=dval, auxiliary=aux
     )
 
 
-def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCertificate:
+def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     """Contact form for a single-cycle meander.
 
     For n = 2 the seaweed is sl(2) up to center and e(1,2)* + e(2,1)* works
     outright. Otherwise some end part of the top or bottom composition has
     size >= 4; deleting its outermost arc turns the block 's' into 1|s-2|1
     and the resulting seaweed g' is Frobenius. The deleted directions span a
-    Heisenberg subalgebra whose center unit is the deleted arc's own matrix
-    position; the form is g''s regular form plus k times that center dual,
-    for the smallest k in 1..k_max that makes the bordered determinant
-    nonzero (k = 1 in every case seen).
+    Heisenberg subalgebra whose center c is the deleted arc's own matrix
+    position. The form is phi' + k c*, with phi' the regular form of g' and
+    the center weight k = 1.
+
+    No other k can succeed where k = 1 fails. g' is Frobenius, so its
+    meander is a single path, and there is a diagonal t with t_i / t_j = a
+    on every directed edge i -> j of that path. The cut arc is outermost on
+    its side, so a counterclockwise walk of g's cycle runs it forward. A
+    forward arc turns the walk's tangent by +pi and a backward arc by -pi,
+    and the total turn is 2 pi, so the rest of the cycle has one more
+    forward arc than backward arcs. Therefore Ad(t) sends phi' + k c* to
+    a (phi' + k a^-2 c*), and it acts on Bhat as a congruence. So
+    f(k) = det Bhat(phi' + k c*) satisfies f(a^-2 k) = rho(a) f(k) for every
+    a, which leaves f = c k^m: if f(1) = 0, then f is 0 for every k.
     """
     C, P = counts(build_meander(spec))
     if C != 1 or P != 0:
@@ -455,43 +449,33 @@ def case2_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCerti
             f"residual seaweed {gprime.text()} of {spec.text()} is not Frobenius"
         )
 
-    fbar = _regular_form(mprime)
-    samples = []
-    for k in range(1, k_max + 1):
-        form = fbar.plus(OneForm.from_terms(n, [(center, Fraction(k))]))
-        dval = bhat_det(checked, form.as_dict())
-        if dval != 0:
-            aux = {
-                "removed_edge": [p, q],
-                "side": side,
-                "g_prime": gprime.text(),
-                "heisenberg": [list(g) for g in gens],
-                "center": list(center),
-            }
-            return ContactCertificate(
-                spec=spec,
-                case="OneCycle",
-                basis=basis,
-                form=form,
-                k=Fraction(k),
-                det_value=dval,
-                auxiliary=aux,
-            )
-        samples.append((k, dval))
-    raise SynthesisError(
-        f"no center weight in 1..{k_max} works for {spec.text()}", samples=samples
+    form = _regular_form(mprime).plus(OneForm.from_terms(n, [(center, Fraction(1))]))
+    dval = bhat_det(checked, form.as_dict())
+    if dval == 0:
+        raise TheoremViolationError(f"the determinant at center weight 1 of {spec.text()} is 0")
+    aux = {
+        "removed_edge": [p, q],
+        "side": side,
+        "g_prime": gprime.text(),
+        "heisenberg": [list(g) for g in gens],
+        "center": list(center),
+    }
+    return ContactCertificate(
+        spec=spec, case="OneCycle", basis=basis, form=form, k=Fraction(1), det_value=dval,
+        auxiliary=aux,
     )
 
 
-def synthesize_contact(spec: SeaweedSpec, k_max: int = DEFAULT_K_MAX) -> ContactCertificate:
-    """Dispatch on the meander shape; only index-one seaweeds are accepted."""
+def synthesize_contact(spec: SeaweedSpec) -> ContactCertificate:
+    """Dispatch on the meander shape. Raises ``NotIndexOneError`` unless the
+    index is one, and ``TheoremViolationError`` only on a bug (see the cases)."""
     C, P = counts(build_meander(spec))
     idx = index_from_counts(C, P)
     if idx != 1:
         raise NotIndexOneError(f"{spec.text()} has index {idx}, not 1", idx)
     if P == 2:
         return case1_contact(spec)
-    return case2_contact(spec, k_max)
+    return case2_contact(spec)
 
 
 # ---------------------------------------------------------------------------

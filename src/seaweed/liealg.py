@@ -424,9 +424,9 @@ def contact_search_randomized(
     L: LieAlgebra,
     trials: int,
     seed: int | None = None,
-    bound: int = SAMPLE_BOUND,
 ) -> ContactWitness | ProbablyNotContact:
-    """Hunt for a contact form by sampling integer one-forms.
+    """Hunt for a contact form by sampling one-forms with integer
+    coefficients in [-SAMPLE_BOUND, SAMPLE_BOUND].
 
     det[Bhat_phi] is a polynomial in the coefficients of phi; if it is not
     identically zero a random point misses its zero set with high probability,
@@ -439,7 +439,8 @@ def contact_search_randomized(
         raise ValueError("trials must be >= 1")
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     for _ in range(trials):
-        form = CoeffForm.from_values([rng.randint(-bound, bound) for _ in range(L.dim)])
+        phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(L.dim)]
+        form = CoeffForm.from_values(phi)
         if bhat_det(L, form) != 0:
             return ContactWitness(form)
     return ProbablyNotContact(trials)

@@ -1,9 +1,11 @@
 """End-to-end command line behaviour, driven in-process through main()."""
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seaweed.cli
+import seaweed.contact
 from seaweed.cli import main
 from seaweed.contact import ContactCertificate, synthesize_contact, verify_certificate
 from seaweed.meander import build_meander
@@ -206,13 +209,20 @@ def test_contact_not_index_one(capsys):
     assert rc == 4 and "index 4, not 1" in err and "Frobenius" not in err
 
 
-@pytest.mark.parametrize("k_max", ["0", "-3"])
 @pytest.mark.parametrize("text", ["4 / 2|2", "1|3|3 / 7"])  # one cycle; two paths
-def test_contact_rejects_k_max_below_one(capsys, text, k_max):
-    # bad input whatever the meander's shape: exit 2 and one line on stderr
-    rc, out, err = run(capsys, "contact", text, "--k-max", k_max)
+def test_contact_has_no_k_max_option(capsys, text):
+    # synthesis takes k = 1 without a search, so there is no bound to set
+    rc, out, err = run(capsys, "contact", text, "--k-max", "3")
     assert rc == 2 and out == ""
-    assert err == f"seaweed: --k-max must be at least 1, got {k_max}\n"
+    assert "unrecognized arguments: --k-max 3" in err
+
+
+@pytest.mark.parametrize("text", ["4 / 2|2", "1|3|3 / 7"])
+def test_contact_exits_5_when_a_construction_fails(capsys, monkeypatch, text):
+    monkeypatch.setattr(seaweed.contact, "bhat_det", lambda L, form: 0)
+    rc, out, err = run(capsys, "contact", text)
+    assert rc == 5 and out == ""
+    assert err.startswith("seaweed: ") and " is 0" in err
 
 
 def test_contact_verify_round_trip(capsys, tmp_path):
@@ -733,3 +743,32 @@ def test_console_script():
         ["seaweed", "index", "2|6 / 8"], capture_output=True, text=True
     )
     assert proc.returncode == 0 and proc.stdout == "index 1\n"
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+def test_readme_names_only_options_the_cli_has():
+    # Every --option that README's "Command line" section writes after
+    # "seaweed SUBCOMMAND", in an inline code span or after a "$ " prompt,
+    # must be an option of that subcommand.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("\n## Command line\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    commands = re.findall(r"`(seaweed [^`]*)`", section)
+    commands += re.findall(r"^\$ (seaweed .*)$", section, re.MULTILINE)
+    parser = seaweed.cli.build_parser()
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    named = 0
+    for command in commands:
+        name = command.split()[1]
+        assert name in subcommands, command
+        for option in re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", command):
+            assert option in subcommands[name]._option_string_actions, command
+            named += 1
+    assert named >= 5

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seaweed.contact
+from seaweed import _kernels
 from seaweed.cli import main
 from seaweed.contact import (
     MAX_FORM_ENTRIES_PER_VERTEX,
@@ -37,7 +38,10 @@ from seaweed.standard_form import (
     DiagDiff,
     MatrixUnit,
     SeaweedSpec,
+    check_basis,
+    compositions,
     dual_matrix_to_coeffs,
+    fraction_from_json,
     label_to_json,
     materialize,
     seaweed_dim,
@@ -46,7 +50,7 @@ from seaweed.standard_form import (
 )
 from seaweed.exact import RatMatrix, kernel_basis, rank
 from seaweed.liealg import bhat_det, kirillov_matrix
-from seaweed.meander import build_meander, components, index as meander_index
+from seaweed.meander import build_meander, components, counts, index as meander_index
 
 
 def spec(text):
@@ -215,6 +219,32 @@ def test_two_path_kernel_is_h_line():
             assert ker[0] == expected, sp.text()
 
 
+def test_two_path_diagonal_functional_leaves_b_phi_alone():
+    # At an admissibility gap the partial diagonal dual adds nothing to B_phi,
+    # and H's row and column of B_phi are zero, so det Bhat = phi(H)^2 det C'.
+    seen = 0
+    for n in range(2, 8):
+        for sp in spec_pairs(n):
+            if counts(build_meander(sp)) != (0, 2):
+                continue
+            cert = case1_contact(sp)
+            checked = check_basis(sp, cert.basis)
+            sphi, sB, s = checked.scaled_form(cert.form.as_dict())
+            _, rB, r = checked.scaled_form(regular_form_from_meander(sp).as_dict())
+            assert [[Fraction(x, s) for x in row] for row in sB] == [
+                [Fraction(x, r) for x in row] for row in rB
+            ], sp.text()
+            h = cert.basis.index(next(b for b in cert.basis if isinstance(b, CustomDiagonal)))
+            assert not any(row[h] for row in sB), sp.text()
+            minor = [row[:h] + row[h + 1 :] for k, row in enumerate(sB) if k != h]
+            det_c = Fraction(_kernels.det_int(minor), s ** len(minor))
+            phi_H = Fraction(sphi[h], s)
+            assert det_c != 0 and phi_H != 0, sp.text()
+            assert cert.det_value == phi_H**2 * det_c, sp.text()
+            seen += 1
+    assert seen == 1147
+
+
 def test_case1_builds_the_meander_once(monkeypatch):
     built = []
 
@@ -345,10 +375,51 @@ def test_case2_rejects_two_paths():
         case2_contact(spec("1|4 / 3|1|1"))
 
 
-def test_case2_exhausted_search_reports_samples():
-    with pytest.raises(SynthesisError) as err:
-        case2_contact(spec("4 / 2|2"), k_max=0)
-    assert err.value.samples == ()
+def test_one_cycle_determinant_is_a_monomial_in_the_center_weight():
+    # f(k) = det Bhat(phi' + k c*) = c k^m, so f(1) = 0 would make every k fail.
+    # A meander without paths has an arc on each side at every vertex, so
+    # every one-cycle spec has even parts only.
+    seen = 0
+    for n in range(4, 15, 2):
+        sides = [Composition(tuple(2 * x for x in c)) for c in compositions(n // 2)]
+        for top, bottom in itertools.product(sides, sides):
+            sp = SeaweedSpec(top, bottom)
+            if counts(build_meander(sp)) != (1, 0):
+                continue
+            cert = case2_contact(sp)
+            phi = regular_form_from_meander(spec(cert.auxiliary["g_prime"]))
+            center = tuple(cert.auxiliary["center"])
+            checked = check_basis(sp)
+            f = [
+                bhat_det(checked, phi.plus(OneForm.from_terms(n, {center: k})).as_dict())
+                for k in (1, 2, 3)
+            ]
+            assert f[0] == cert.det_value != 0, sp.text()
+            m = (f[1] / f[0]).numerator.bit_length() - 1
+            assert f[1] == 2**m * f[0] and f[2] == 3**m * f[0], sp.text()
+            seen += 1
+    assert seen == 274
+
+
+@pytest.mark.parametrize("text", ["1|4 / 3|1|1", "3|1|1|1 / 6", "2|6 / 8", "2|2 / 4", "2 / 2"])
+def test_synthesis_computes_one_bordered_determinant(monkeypatch, text):
+    calls = []
+
+    def counting(L, form):
+        calls.append(form)
+        return bhat_det(L, form)
+
+    monkeypatch.setattr(seaweed.contact, "bhat_det", counting)
+    cert = synthesize_contact(spec(text))
+    assert calls == [cert.form.as_dict()]
+
+
+@pytest.mark.parametrize("text", ["1|4 / 3|1|1", "2|6 / 8", "2 / 2"])
+def test_a_zero_determinant_violates_the_theorem(monkeypatch, text):
+    monkeypatch.setattr(seaweed.contact, "bhat_det", lambda L, form: Fraction(0))
+    with pytest.raises(TheoremViolationError) as err:
+        synthesize_contact(spec(text))
+    assert isinstance(err.value, SynthesisError)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +683,19 @@ def test_certificate_json_shape():
     assert data["det"] == "256"
     assert data["dual_matrix"]["8,3"] == "1"
     assert {"unit": [8, 3]} in data["basis"]
+
+
+def test_fraction_reader_refuses_a_huge_exponent_fast():
+    # Fraction("1e10000000") would build 10^(10^7) before any round-trip check
+    # could refuse it; the reader's regex refuses the spelling first.
+    data = json.loads(synthesize_contact(spec("2 / 2")).to_json())
+    data["det"] = "1e10000000"
+    start = time.process_time()
+    with pytest.raises(ValueError):
+        fraction_from_json("1e10000000", "field 'det'")
+    with pytest.raises(ValueError, match="field 'det'"):
+        ContactCertificate.from_json(data)
+    assert time.process_time() - start < 1.0
 
 
 def test_certificate_json_missing_field():

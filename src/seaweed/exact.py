@@ -14,7 +14,7 @@ into integers and a common denominator. Within the library two functions
 build a ``RatMatrix``: ``materialize``, for the inverse behind its structure
 table, which the index oracle and the other structure-table users reach, and
 ``liealg.kirillov_matrix``, for its return value. The integer Kirillov and
-bordered matrices of ``liealg``, and the contact searches and certificate
+bordered matrices of ``liealg``, and the contact constructions and certificate
 verification, which evaluate B_phi by trace pairing on a checked basis,
 never pass through it.
 """

@@ -68,13 +68,6 @@ class CoeffForm:
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
 
-    def to_json(self) -> dict:
-        return {"coefficients": [str(x) for x in self.coefficients]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoeffForm":
-        return cls(tuple(Fraction(s) for s in data["coefficients"]))
-
 
 SparseVec = tuple[tuple[int, Fraction], ...]
 # the structure constants in integers, sparsely: (i, j) -> [(k, c), ...]
@@ -148,23 +141,6 @@ class LieAlgebra:
         phi_ints, phi_den = _clear_denominators(phi.coefficients)
         den, _ = self._integer_table()
         return [den * v for v in phi_ints], _kirillov_int_rows(self, phi_ints), den * phi_den
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "labels": list(self.basis_labels),
-            "structure": [
-                [i, j, [[k, str(c)] for k, c in vec]] for i, j, vec in self.table
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LieAlgebra":
-        table = tuple(
-            (i, j, tuple((k, Fraction(s)) for k, s in vec))
-            for i, j, vec in data["structure"]
-        )
-        return cls(data["dim"], tuple(data["labels"]), table)
 
 
 @dataclass(frozen=True)
@@ -332,7 +308,7 @@ def bhat_det(L, phi) -> Fraction:
     seaweed basis (``standard_form.check_basis``) with phi as a dual matrix
     {(i, j): W_ij} (B_phi by trace pairing, with no table). Each has ``dim``
     and ``scaled_form(phi)``, the integer evaluation (s*phi, s*B_phi, s).
-    This is the one bordered-determinant entry of both contact searches.
+    This is the one bordered-determinant entry of both contact constructions.
     """
     if L.dim % 2 == 0:
         raise ParityError(f"bhat_det needs odd dimension, got {L.dim}")

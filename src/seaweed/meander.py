@@ -36,7 +36,6 @@ __all__ = [
     "index_gcd_2part",
     "all_parts_even",
     "render",
-    "meander_from_json",
 ]
 
 Edge = tuple[int, int]
@@ -377,15 +376,3 @@ def _render_json(m: Meander | DirectedMeander) -> str:
         bottom = sorted([list(e) for e in m.bottom_edges])
     data = {"n": m.n, "top": top, "bottom": bottom, "directed": directed}
     return json.dumps(data, indent=2) + "\n"
-
-
-def meander_from_json(text: str | dict) -> Meander | DirectedMeander:
-    data = json.loads(text) if isinstance(text, str) else text
-    n = data["n"]
-    top = tuple((u, v) for u, v in data["top"])
-    bottom = tuple((u, v) for u, v in data["bottom"])
-    if data.get("directed"):
-        dm = DirectedMeander(n, top, bottom)
-        dm.undirected()  # validates vertex degrees
-        return dm
-    return Meander(n, top, bottom)

@@ -205,30 +205,6 @@ class SeaweedSpec:
     def swapped(self) -> "SeaweedSpec":
         return SeaweedSpec(self.bottom, self.top)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "top": list(self.top.parts),
-            "bottom": list(self.bottom.parts),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SeaweedSpec":
-        """The spec of ``to_json``'s object. Anything else raises
-        ``ValueError``, which names the field at fault."""
-        if not isinstance(data, dict):
-            raise ValueError(f"spec JSON must be an object, got {type(data).__name__}")
-        sides = []
-        for field in ("top", "bottom"):
-            parts = data.get(field)
-            if not isinstance(parts, (list, tuple)):
-                raise ValueError(f"spec JSON {field!r}: parts must be ints in a list, got {parts!r}")
-            sides.append(Composition(tuple(parts)))
-        spec = cls(*sides)
-        if "n" in data and data["n"] != spec.n:
-            raise ValueError("inconsistent n in spec JSON")
-        return spec
-
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^(n-1) ordered compositions of n, lexicographically."""

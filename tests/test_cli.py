@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -743,6 +744,16 @@ def test_console_script():
         ["seaweed", "index", "2|6 / 8"], capture_output=True, text=True
     )
     assert proc.returncode == 0 and proc.stdout == "index 1\n"
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["seaweed", "seaweed.meander", "seaweed.standard_form", "seaweed.contact", "seaweed._kernels"],
+)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == [], module
 
 
 # ---------------------------------------------------------------------------

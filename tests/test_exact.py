@@ -537,11 +537,14 @@ def rank_inputs(draw):
     return rows, kind == "skew"
 
 
-# no shrink phase: shrinking a failing 30 x 30 draw takes about a minute, and
-# the unshrunk draw already names the kernel at fault
-@settings(
-    max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
-)
+# The rank tests skip the shrink phase: shrinking a failing 30 x 30 draw takes
+# up to two minutes per test, and the unshrunk draw already names the kernel
+# at fault. A passing run never shrinks, so this changes only how fast a
+# broken kernel fails.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(rank_inputs())
 def test_rank_kernels_match_fraction_rank(case):
     rows, skew = case
@@ -666,7 +669,7 @@ def stale_skew(draw):
     return a, keep, h
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(planted_skew())
 def test_skew_rank_update_forms_match_fraction_rank(case):
     rows, zero = case
@@ -677,7 +680,7 @@ def test_skew_rank_update_forms_match_fraction_rank(case):
     assert rows == snapshot
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(stale_skew())
 def test_skew_rank_reads_stale_rows_at_their_true_scale(case):
     """Rows that pivot steps only rescale keep a stamp in ``_skew_rank``
@@ -698,7 +701,7 @@ def _permuted(rng, rows):
     return [[rows[i][j] for j in perm] for i in perm]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(planted_skew(), st.randoms(use_true_random=False))
 def test_both_ranks_survive_a_simultaneous_permutation_of_planted_input(case, rng):
     """The index oracle eliminates in a basis order of its choosing: a
@@ -780,7 +783,7 @@ def test_rank_mod_matches_modp_row_reduction(case):
     assert rows == snapshot
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(modp_rank_inputs(), st.randoms(use_true_random=False))
 def test_both_ranks_survive_a_simultaneous_permutation_of_modp_input(case, rng):
     rows, p = case

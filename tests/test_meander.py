@@ -22,7 +22,6 @@ from seaweed.meander import (
     index_from_counts,
     index_gcd_2part,
     index_gcd_3part,
-    meander_from_json,
     orient,
     render,
 )
@@ -566,7 +565,6 @@ def test_json_round_trip_undirected():
         "bottom": [[1, 3]],
         "directed": False,
     }
-    assert meander_from_json(render(m, "json")) == m
 
 
 def test_json_round_trip_directed():
@@ -574,7 +572,6 @@ def test_json_round_trip_directed():
     data = json.loads(render(dm, "json"))
     assert data["directed"] is True
     assert data["top"] == [[5, 2], [4, 3]]
-    assert meander_from_json(render(dm, "json")) == dm
 
 
 def test_render_rejects_unknown_format():

@@ -79,37 +79,10 @@ def test_spec_parse_errors():
         SeaweedSpec.parse("2/2/2")
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"top": [2.5, 1.5], "bottom": [4]},
-        {"top": [True, 3], "bottom": [4]},
-        {"top": "22", "bottom": [4]},
-    ],
-    ids=["floats", "bool", "string"],
-)
-def test_spec_json_rejects_parts_that_are_not_ints(data):
+@pytest.mark.parametrize("parts", [(2.5, 1.5), (True, 3)], ids=["floats", "bool"])
+def test_composition_rejects_parts_that_are_not_ints(parts):
     with pytest.raises(ValueError, match="parts must be ints"):
-        SeaweedSpec.from_json(data)
-
-
-@pytest.mark.parametrize("field", ["top", "bottom"])
-@pytest.mark.parametrize(
-    "value", [None, 5, {"a": 1}, "missing"], ids=["null", "number", "object", "missing"]
-)
-def test_spec_json_rejects_a_side_that_is_not_a_list(field, value):
-    data = {"top": [4], "bottom": [4]}
-    if value == "missing":
-        del data[field]
-    else:
-        data[field] = value
-    with pytest.raises(ValueError, match=f"'{field}'"):
-        SeaweedSpec.from_json(data)
-
-
-def test_spec_json_must_be_an_object():
-    with pytest.raises(ValueError, match="must be an object"):
-        SeaweedSpec.from_json([[4], [4]])
+        Composition(parts)
 
 
 @pytest.mark.parametrize(
@@ -137,9 +110,6 @@ def test_spec_parse_raises_value_error_or_round_trips(text):
 def test_spec_swapped_and_json():
     sp = SeaweedSpec.parse("2|6 / 8")
     assert sp.swapped().text() == "8 / 2|6"
-    assert SeaweedSpec.from_json(sp.to_json()) == sp
-    with pytest.raises(ValueError):
-        SeaweedSpec.from_json({"n": 9, "top": [2, 6], "bottom": [8]})
 
 
 def test_composition_and_pair_counts():

@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 verification/check failure, 2 bad input, 3 method
 not applicable to the spec, 4 spec is not index one, 5 a contact construction
 failed that its proof says cannot fail.
 ``contact``, ``oracle`` and ``index --method oracle`` exit 2 before building
-anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``.
+anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``, and
+``index`` and ``meander`` for a spec on more than MAX_VERIFY_DIM + 1 vertices.
 ``oracle --lemma1`` prints the raw max |det - wedge|, but its exit code follows
 (k!)^2 det = wedge^2, since det has degree 2k+2 in phi and wedge degree k+1.
 The SEAWEED_SEED environment variable overrides the default oracle seed;
@@ -36,11 +37,11 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .contact import (
-    MAX_FORM_ENTRIES_PER_VERTEX,
     MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
     SynthesisError,
+    _over_limit_reasons,
     synthesize_contact,
     verify_certificate,
 )
@@ -94,6 +95,18 @@ def _check_buildable(spec: SeaweedSpec) -> None:
         raise SystemExit(2)
 
 
+def _check_vertices(spec: SeaweedSpec) -> None:
+    """Exit 2 before building a meander for a spec with n - 1 above MAX_VERIFY_DIM,
+    the least dimension of a seaweed on n vertices."""
+    if spec.n - 1 > MAX_VERIFY_DIM:
+        print(
+            f"seaweed: {spec.text()} has {spec.n} vertices, "
+            f"above the limit {MAX_VERIFY_DIM + 1} for building its meander",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -110,6 +123,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
     if args.method == "oracle":
         _check_buildable(spec)
+        seed = _resolve_seed(args)
+    else:
+        _check_vertices(spec)
     rep = components(build_meander(spec))
     if args.method == "meander":
         idx = rep.index
@@ -126,9 +142,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         else:
             idx = (index_gcd_2part if len(parts) == 2 else index_gcd_3part)(*parts)
     else:
-        idx = index_randomized(
-            materialize(spec), trials=DEFAULT_TRIALS, seed=_resolve_seed(args)
-        )
+        idx = index_randomized(materialize(spec), trials=DEFAULT_TRIALS, seed=seed)
     if args.json:
         data = {
             "spec": spec.text(),
@@ -146,6 +160,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_meander(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
+    _check_vertices(spec)
     m = build_meander(spec)
     _emit(render(orient(m) if args.directed else m, args.format), args.out)
     return 0
@@ -184,20 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"seaweed: cannot read certificate: {exc}", file=sys.stderr)
         return 2
-    dim = seaweed_dim(cert.spec)
-    if dim > MAX_VERIFY_DIM:
-        print(
-            f"seaweed: {cert.spec.text()} has dimension {dim}, "
-            f"above the verification limit {MAX_VERIFY_DIM}",
-            file=sys.stderr,
-        )
-    entries, limit = len(cert.form.entries), MAX_FORM_ENTRIES_PER_VERTEX * cert.spec.n
-    if entries > limit:
-        print(
-            f"seaweed: the form has {entries} dual-matrix entries, "
-            f"above the verification limit {limit} for n = {cert.spec.n}",
-            file=sys.stderr,
-        )
+    for reason in _over_limit_reasons(cert):
+        print(f"seaweed: {reason}", file=sys.stderr)
     if not verify_certificate(cert):
         print("verification FAILED", file=sys.stderr)
         return 1
@@ -316,8 +319,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 2
     spec = _parse_spec(args.spec)
     _check_buildable(spec)
-    L = materialize(spec)
     seed = _resolve_seed(args)
+    L = materialize(spec)
     idx = index_randomized(L, trials=args.trials, seed=seed)
     print(f"index {idx}")
     if not args.lemma1:

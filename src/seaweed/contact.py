@@ -12,7 +12,8 @@ nonzero (see ``case1_contact`` and ``case2_contact``).
 
 Every certificate is self-contained: spec, basis, dual matrix and determinant
 are enough for an independent re-verification, so nothing here needs to be
-trusted.
+trusted. This is the one module that knows the certificate's format: its
+JSON, labels and fractions included, and its size limits.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _kernels
 from .liealg import (
@@ -41,9 +42,6 @@ from .standard_form import (
     MatrixUnit,
     SeaweedSpec,
     check_basis,
-    fraction_from_json,
-    label_from_json,
-    label_to_json,
     seaweed_dim,
     standard_basis,
 )
@@ -63,6 +61,9 @@ __all__ = [
     "synthesize_contact",
     "verify_certificate",
     "frobenius_plus_contact_combine",
+    "label_to_json",
+    "label_from_json",
+    "fraction_from_json",
 ]
 
 # Largest seaweed dimension verify_certificate accepts. It checks this on
@@ -294,6 +295,74 @@ def _json_field(data: dict, key: str, kind: type):
     return value
 
 
+def label_to_json(label: BasisLabel) -> dict:
+    if isinstance(label, MatrixUnit):
+        return {"unit": [label.i, label.j]}
+    if isinstance(label, DiagDiff):
+        return {"diagdiff": label.i}
+    return {"diag": {"name": label.name, "entries": [str(x) for x in label.entries]}}
+
+
+def label_from_json(data: dict) -> BasisLabel:
+    """The label of ``label_to_json``'s object. An object without exactly one
+    key, or a field of another JSON type, raises ``ValueError``; the int
+    checks are on the exact type, so a bool is no int, and a custom
+    diagonal's entries must be fractions as ``str(Fraction)`` writes them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
+    if len(data) != 1:
+        raise ValueError(f"a basis label must hold exactly one key, not {data!r}")
+    if "unit" in data:
+        unit = data["unit"]
+        if not (type(unit) is list and list(map(type, unit)) == [int, int]):
+            raise ValueError(f"a unit label must be a list of two ints, not {unit!r}")
+        return MatrixUnit(*unit)
+    if "diagdiff" in data:
+        i = data["diagdiff"]
+        if type(i) is not int:
+            raise ValueError(f"a diagdiff label must be an int, not {i!r}")
+        return DiagDiff(i)
+    if "diag" in data:
+        diag = data["diag"] if isinstance(data["diag"], dict) else {}
+        name, entries = diag.get("name"), diag.get("entries")
+        if not (
+            isinstance(name, str)
+            and isinstance(entries, list)
+            and all(isinstance(x, str) for x in entries)
+        ):
+            raise ValueError(
+                "a diag label must hold a string name and a list of string entries, "
+                f"not {data['diag']!r}"
+            )
+        what = f"an entry of diag label {name!r}"
+        return CustomDiagonal(name, tuple(fraction_from_json(x, what) for x in entries))
+    raise ValueError(f"unrecognized basis label {data!r}")
+
+
+# a fraction as str(Fraction) writes it: a decimal int, or p/q in lowest
+# terms with q >= 2; ASCII digits, no leading zeros, no sign on 0
+_FRACTION = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
+
+
+def fraction_from_json(text: str, what: str) -> Fraction:
+    """The Fraction whose ``str`` is ``text``. Any other spelling of a
+    number, such as "1.0", "2/4", "-0" or "1/0", raises ``ValueError``
+    naming ``what``, so a certificate that reads also re-serializes to its
+    own bytes. The regex also guards the input: ``Fraction("1e10000000")``
+    spends seconds building 10^(10^7) before a check that ``str`` gives
+    ``text`` back could refuse it; the regex refuses it in microseconds."""
+    m = _FRACTION.fullmatch(text)
+    if m is not None:
+        if m[2] is None:
+            return Fraction(int(m[1]))
+        value = Fraction(int(m[1]), int(m[2]))
+        if value.denominator == int(m[2]):  # lowest terms, which refuses 0/q too
+            return value
+    raise ValueError(
+        f"{what} must be a fraction as str(Fraction) writes it, such as '-3/4', not {text!r}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -482,17 +551,31 @@ def synthesize_contact(spec: SeaweedSpec) -> ContactCertificate:
 # verification
 # ---------------------------------------------------------------------------
 
+def _over_limit_reasons(cert: ContactCertificate) -> Iterator[str]:
+    """Why the certificate is too large to verify, one text per limit it
+    exceeds. The one place either limit is compared; it builds nothing."""
+    spec = cert.spec
+    dim = seaweed_dim(spec)
+    if dim > MAX_VERIFY_DIM:
+        yield f"{spec.text()} has dimension {dim}, above the verification limit {MAX_VERIFY_DIM}"
+    entries, limit = len(cert.form.entries), MAX_FORM_ENTRIES_PER_VERTEX * spec.n
+    if entries > limit:
+        yield (
+            f"the form has {entries} dual-matrix entries, "
+            f"above the verification limit {limit} for n = {spec.n}"
+        )
+
+
 def verify_certificate(cert: ContactCertificate) -> bool:
     """Re-derive the determinant from the certificate's own data.
 
-    A spec of dimension above MAX_VERIFY_DIM, or a form with more than
-    MAX_FORM_ENTRIES_PER_VERTEX * n entries, is rejected before anything is
-    built. Otherwise the basis must pass ``check_basis`` (a full basis of
-    that seaweed), and the form, read as the dual matrix W, is evaluated by
-    trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the gl(n) bracket
-    rules, with no structure table. The bordered determinant of that one
-    evaluation must be nonzero and equal the stored value. TwoPaths
-    certificates additionally must satisfy the factorization
+    A certificate over a size limit (``_over_limit_reasons``) is rejected
+    before anything is built. Otherwise the basis must pass ``check_basis``
+    (a full basis of that seaweed), and the form, read as the dual matrix W,
+    is evaluated by trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the
+    gl(n) bracket rules, with no structure table. The bordered determinant
+    of that one evaluation must be nonzero and equal the stored value.
+    TwoPaths certificates additionally must satisfy the factorization
     det = (phi(H))^2 * det phi(C') with C' the Kirillov matrix minus H's row
     and column. Small algebras (dim <= 11) are cross-checked against the
     exterior-algebra volume coefficient, which determines the determinant up
@@ -500,12 +583,9 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     field returns False rather than raising.
     """
     try:
-        spec = cert.spec
-        if seaweed_dim(spec) > MAX_VERIFY_DIM:
+        if any(_over_limit_reasons(cert)):
             return False
-        if len(cert.form.entries) > MAX_FORM_ENTRIES_PER_VERTEX * spec.n:
-            return False
-        checked = check_basis(spec, cert.basis)
+        checked = check_basis(cert.spec, cert.basis)
         # one evaluation serves the determinant, the TwoPaths minor and the
         # wedge; in an even dimension the bordered matrix is odd-sized skew,
         # so det is 0

@@ -69,13 +69,6 @@ class DirectedMeander:
     top_edges: tuple[Edge, ...]
     bottom_edges: tuple[Edge, ...]
 
-    def undirected(self) -> Meander:
-        return Meander(
-            self.n,
-            tuple(sorted(tuple(sorted(e)) for e in self.top_edges)),
-            tuple(sorted(tuple(sorted(e)) for e in self.bottom_edges)),
-        )
-
     def edges(self) -> tuple[Edge, ...]:
         """All directed edges, top then bottom."""
         return self.top_edges + self.bottom_edges

@@ -9,14 +9,14 @@ the one place that rule is written), builds the standard basis (diagonal
 differences first, then the admissible units in row-major order), checks
 that a given basis is a full one (``check_basis``), evaluates one-forms
 given as dual matrices on such a basis by trace pairing, and materializes the
-result as a ``LieAlgebra`` with exact structure constants.
+result as a ``LieAlgebra`` with exact structure constants. It reads and
+writes no JSON: the certificate's codec is in ``contact``.
 
 Indices are 1-based throughout, matching the e_{i,j} notation in printed
 output; positions into a basis list are plain 0-based Python indices.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,9 +44,6 @@ __all__ = [
     "materialize",
     "dual_matrix_to_coeffs",
     "label_str",
-    "label_to_json",
-    "label_from_json",
-    "fraction_from_json",
     "compositions",
     "spec_pairs",
 ]
@@ -265,77 +262,6 @@ def label_str(label: BasisLabel) -> str:
     if isinstance(label, DiagDiff):
         return f"h({label.i})"
     return label.name
-
-
-def label_to_json(label: BasisLabel) -> dict:
-    if isinstance(label, MatrixUnit):
-        return {"unit": [label.i, label.j]}
-    if isinstance(label, DiagDiff):
-        return {"diagdiff": label.i}
-    return {"diag": {"name": label.name, "entries": [str(x) for x in label.entries]}}
-
-
-def label_from_json(data: dict) -> BasisLabel:
-    """The label of ``label_to_json``'s object. An object without exactly one
-    key, or a field of another JSON type, raises ``ValueError``; the int
-    checks are on the exact type, so a bool is no int, and a custom
-    diagonal's entries must be fractions as ``str(Fraction)`` writes them."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
-    if len(data) != 1:
-        raise ValueError(f"a basis label must hold exactly one key, not {data!r}")
-    if "unit" in data:
-        unit = data["unit"]
-        if not (type(unit) is list and list(map(type, unit)) == [int, int]):
-            raise ValueError(f"a unit label must be a list of two ints, not {unit!r}")
-        return MatrixUnit(*unit)
-    if "diagdiff" in data:
-        i = data["diagdiff"]
-        if type(i) is not int:
-            raise ValueError(f"a diagdiff label must be an int, not {i!r}")
-        return DiagDiff(i)
-    if "diag" in data:
-        diag = data["diag"] if isinstance(data["diag"], dict) else {}
-        name, entries = diag.get("name"), diag.get("entries")
-        if not (
-            isinstance(name, str)
-            and isinstance(entries, list)
-            and all(isinstance(x, str) for x in entries)
-        ):
-            raise ValueError(
-                "a diag label must hold a string name and a list of string entries, "
-                f"not {data['diag']!r}"
-            )
-        what = f"an entry of diag label {name!r}"
-        return CustomDiagonal(name, tuple(fraction_from_json(x, what) for x in entries))
-    raise ValueError(f"unrecognized basis label {data!r}")
-
-
-# a fraction as str(Fraction) writes it: a decimal int, or p/q in lowest
-# terms with q >= 2; ASCII digits, no leading zeros, no sign on 0
-_FRACTION = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
-
-
-def fraction_from_json(text: str, what: str) -> Fraction:
-    """The Fraction whose ``str`` is ``text``. Any other spelling of a
-    number, such as "1.0", "2/4", "-0" or "1/0", raises ``ValueError``
-    naming ``what``, so a certificate that reads also re-serializes to its
-    own bytes. The regex also guards the input: ``Fraction("1e10000000")``
-    spends seconds building 10^(10^7) before a check that ``str`` gives
-    ``text`` back could refuse it; the regex refuses it in microseconds."""
-    m = _FRACTION.fullmatch(text)
-    if m is not None:
-        num, den = m.groups()
-        if den is None:
-            if num != "-0":
-                return Fraction(int(num))
-        elif den != "1":
-            value = Fraction(int(num), int(den))
-            if value.denominator == int(den):  # lowest terms, and num != 0
-                return value
-    raise ValueError(
-        f"{what} must be a fraction as str(Fraction) writes it, such as '-3/4', not {text!r}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +528,9 @@ def dual_matrix_to_coeffs(
 ) -> CoeffForm:
     """Coordinates of phi(M) = sum W_ij M_ij against the given basis.
 
-    A unit picks its own W entry; a diagonal difference picks W_ii - W_(i+1)(i+1);
-    a custom diagonal takes the weighted sum of diagonal W entries.
+    A unit picks its own W entry; a diagonal label, read through
+    ``_diagonal`` (so one out of range for n raises ValueError), takes the
+    weighted sum of the diagonal W entries.
     """
     n = spec.n
     for (i, j) in entries:
@@ -613,15 +540,10 @@ def dual_matrix_to_coeffs(
     def w(i: int, j: int) -> Fraction:
         return Fraction(entries.get((i, j), 0))
 
-    coeffs = []
-    for lab in basis:
-        if isinstance(lab, MatrixUnit):
-            coeffs.append(w(lab.i, lab.j))
-        elif isinstance(lab, DiagDiff):
-            coeffs.append(w(lab.i, lab.i) - w(lab.i + 1, lab.i + 1))
-        else:
-            coeffs.append(
-                sum((v * w(k, k) for k, v in enumerate(lab.entries, start=1)),
-                    Fraction(0))
-            )
-    return CoeffForm(tuple(coeffs))
+    def coefficient(lab: BasisLabel) -> Fraction:
+        diagonal = _diagonal(lab, n)
+        if diagonal is None:
+            return w(lab.i, lab.j)
+        return sum((v * w(k, k) for k, v in enumerate(diagonal, start=1) if v), Fraction(0))
+
+    return CoeffForm(tuple(map(coefficient, basis)))

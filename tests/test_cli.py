@@ -637,7 +637,7 @@ def test_enumerate_n_out_of_range(capsys):
 # ---------------------------------------------------------------------------
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("built a matrix for a spec above the limit")
+    raise AssertionError("built what the command should have refused to build")
 
 
 @pytest.mark.parametrize(
@@ -667,6 +667,44 @@ def test_limit_admits_the_largest_ladder_spec(capsys):
     assert rc == 0 and out == "index 399\n"
 
 
+_HUGE = "100000000000 / 100000000000"  # n = 10^11
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", _HUGE),
+        ("index", _HUGE, "--method", "gcd"),
+        ("index", _HUGE, "--json"),
+        ("meander", _HUGE),
+        ("meander", _HUGE, "--format", "svg", "--directed"),
+        ("index", "1026 / 1026"),
+        ("meander", "1|1025 / 1026"),
+    ],
+    ids=["index", "index-gcd", "index-json", "meander", "meander-svg", "index-1026", "meander-1026"],
+)
+def test_meander_commands_refuse_specs_above_the_vertex_limit(capsys, monkeypatch, argv):
+    monkeypatch.setattr(seaweed.cli, "build_meander", _refuse)
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    n = SeaweedSpec.parse(argv[1]).n
+    assert rc == 2 and out == ""
+    assert err == (
+        f"seaweed: {argv[1]} has {n} vertices, above the limit 1025 for building its meander\n"
+    )
+
+
+def test_vertex_limit_admits_every_spec_the_dimension_limit_admits(capsys):
+    ones = "|".join(["1"] * 1025)  # the diagonal seaweed: dim n - 1 = 1024, the least
+    text = f"{ones} / {ones}"
+    assert run(capsys, "contact", text)[0] == 4  # within the dimension limit; index 1024
+    rc, out, _ = run(capsys, "index", text)
+    assert rc == 0 and out == "index 1024\n"
+    rc, out, _ = run(capsys, "meander", text, "--format", "json")
+    assert rc == 0 and json.loads(out)["n"] == 1025
+
+
 def test_oracle_index(capsys):
     rc, out, _ = run(capsys, "oracle", "1|4 / 3|1|1", "--trials", "5")
     assert rc == 0 and out == "index 1\n"
@@ -689,6 +727,19 @@ def test_oracle_seed_flag_beats_env(capsys, monkeypatch):
     assert rc == 2 and "SEAWEED_SEED" in err
     rc, out, _ = run(capsys, "oracle", "2 / 2", "--trials", "3", "--seed", "7")
     assert rc == 0 and out == "index 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("oracle", "2 / 2"), ("index", "2 / 2", "--method", "oracle")],
+    ids=["oracle", "index-oracle"],
+)
+def test_a_bad_seed_exits_before_the_algebra_is_built(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SEAWEED_SEED", "banana")
+    monkeypatch.setattr(seaweed.cli, "materialize", _refuse)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "seaweed: SEAWEED_SEED='banana' is not an integer\n"
 
 
 def test_oracle_lemma1_reports_discrepancy(capsys):

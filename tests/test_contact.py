@@ -27,7 +27,9 @@ from seaweed.contact import (
     WrongCaseError,
     case1_contact,
     case2_contact,
+    fraction_from_json,
     frobenius_plus_contact_combine,
+    label_to_json,
     regular_form_from_meander,
     synthesize_contact,
     verify_certificate,
@@ -41,8 +43,6 @@ from seaweed.standard_form import (
     check_basis,
     compositions,
     dual_matrix_to_coeffs,
-    fraction_from_json,
-    label_to_json,
     materialize,
     seaweed_dim,
     spec_pairs,

@@ -201,10 +201,13 @@ def test_arcs_and_read_compositions_survive_pickling():
 
 
 def test_orientation_convention():
-    dm = orient(build_meander(spec("1|4 / 3|1|1")))
+    m = build_meander(spec("1|4 / 3|1|1"))
+    dm = orient(m)
     assert dm.top_edges == ((5, 2), (4, 3))  # larger -> smaller
     assert dm.bottom_edges == ((1, 3),)  # smaller -> larger
-    assert dm.undirected() == build_meander(spec("1|4 / 3|1|1"))
+    # orienting keeps n and the meander's arcs; edges() lists top, then bottom
+    top = tuple((v, u) for u, v in m.top_edges)
+    assert dm.n == m.n and dm.edges() == top + m.bottom_edges
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +559,7 @@ def test_undirected_svg_and_tikz_are_the_oriented_pictures_without_arrows():
             assert render(m, "tikz") == render(orient(m), "tikz").replace("[->] ", "")
 
 
-def test_json_round_trip_undirected():
+def test_json_render_undirected():
     m = build_meander(spec("1|4 / 3|1|1"))
     data = json.loads(render(m, "json"))
     assert data == {
@@ -567,7 +570,7 @@ def test_json_round_trip_undirected():
     }
 
 
-def test_json_round_trip_directed():
+def test_json_render_directed():
     dm = orient(build_meander(spec("1|4 / 3|1|1")))
     data = json.loads(render(dm, "json"))
     assert data["directed"] is True

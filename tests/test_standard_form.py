@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seaweed.contact import fraction_from_json, label_from_json, label_to_json
 from seaweed.liealg import bhat_det, index_randomized, jacobi_check
 from seaweed.standard_form import (
     Composition,
@@ -20,10 +21,7 @@ from seaweed.standard_form import (
     check_basis,
     compositions,
     dual_matrix_to_coeffs,
-    fraction_from_json,
-    label_from_json,
     label_str,
-    label_to_json,
     materialize,
     seaweed_dim,
     spec_pairs,
@@ -107,7 +105,7 @@ def test_spec_parse_raises_value_error_or_round_trips(text):
     assert SeaweedSpec.parse(spec.text()) == spec
 
 
-def test_spec_swapped_and_json():
+def test_spec_swapped():
     sp = SeaweedSpec.parse("2|6 / 8")
     assert sp.swapped().text() == "8 / 2|6"
 
@@ -436,6 +434,14 @@ def test_dual_matrix_range_check():
     sp = SeaweedSpec.parse("2/2")
     with pytest.raises(ValueError):
         dual_matrix_to_coeffs(sp, standard_basis(sp), {(0, 1): Fraction(1)})
+
+
+@pytest.mark.parametrize("label", [DiagDiff(0), DiagDiff(2), MatrixUnit(1, 3)], ids=label_str)
+def test_dual_matrix_rejects_labels_out_of_range(label):
+    # the labels go through the same range check as check_basis's
+    sp = SeaweedSpec.parse("2/2")
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        dual_matrix_to_coeffs(sp, [label], {(1, 1): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------

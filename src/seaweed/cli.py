@@ -19,8 +19,8 @@ anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``, and
 ``index`` and ``meander`` for a spec on more than MAX_VERIFY_DIM + 1 vertices.
 ``oracle --lemma1`` prints the raw max |det - wedge|, but its exit code follows
 (k!)^2 det = wedge^2, since det has degree 2k+2 in phi and wedge degree k+1.
-The SEAWEED_SEED environment variable overrides the default oracle seed;
-an explicit --seed flag overrides both.
+``verify`` exits 2 on any file ``ContactCertificate.from_json`` refuses, an
+over-limit one included. No command reads an environment variable.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from .contact import (
     ContactCertificate,
     NotIndexOneError,
     SynthesisError,
-    _over_limit_reasons,
     synthesize_contact,
     verify_certificate,
 )
@@ -59,19 +58,6 @@ from .meander import build_meander, components, counts, index_from_counts, orien
 from .meander import index_gcd_2part, index_gcd_3part
 from .standard_form import Composition, SeaweedSpec, compositions
 from .standard_form import materialize, seaweed_dim
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SEAWEED_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"seaweed: SEAWEED_SEED={env!r} is not an integer", file=sys.stderr)
-            raise SystemExit(2)
-    return DEFAULT_SEED
 
 
 def _parse_spec(text: str) -> SeaweedSpec:
@@ -123,7 +109,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
     if args.method == "oracle":
         _check_buildable(spec)
-        seed = _resolve_seed(args)
     else:
         _check_vertices(spec)
     rep = components(build_meander(spec))
@@ -142,7 +127,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         else:
             idx = (index_gcd_2part if len(parts) == 2 else index_gcd_3part)(*parts)
     else:
-        idx = index_randomized(materialize(spec), trials=DEFAULT_TRIALS, seed=seed)
+        idx = index_randomized(materialize(spec), trials=DEFAULT_TRIALS, seed=args.seed)
     if args.json:
         data = {
             "spec": spec.text(),
@@ -199,8 +184,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"seaweed: cannot read certificate: {exc}", file=sys.stderr)
         return 2
-    for reason in _over_limit_reasons(cert):
-        print(f"seaweed: {reason}", file=sys.stderr)
     if not verify_certificate(cert):
         print("verification FAILED", file=sys.stderr)
         return 1
@@ -319,9 +302,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 2
     spec = _parse_spec(args.spec)
     _check_buildable(spec)
-    seed = _resolve_seed(args)
     L = materialize(spec)
-    idx = index_randomized(L, trials=args.trials, seed=seed)
+    idx = index_randomized(L, trials=args.trials, seed=args.seed)
     print(f"index {idx}")
     if not args.lemma1:
         return 0
@@ -332,7 +314,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     worst = Fraction(0)
     squared_ok = True
     for _ in range(args.trials):
@@ -370,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="meander components (default), closed gcd formula, or rank oracle",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=None, help="oracle seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="oracle seed")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("meander", help="render the meander")
@@ -417,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="randomized-rank index oracle")
     p.add_argument("spec")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
         "--lemma1",
         action="store_true",

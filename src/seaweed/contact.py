@@ -66,20 +66,19 @@ __all__ = [
     "fraction_from_json",
 ]
 
-# Largest seaweed dimension verify_certificate accepts. It checks this on
-# seaweed_dim(spec) before building any basis or matrix, so an untrusted
-# certificate cannot make it allocate a dim x dim matrix of any size. The
-# library's own certificates stay far below it: enumerate's n <= 12 means
-# dim <= 143, and the largest spec the tests and benchmarks verify,
-# 2|18 / 20, has dim 363.
+# Largest seaweed dimension, and so basis length, a certificate may have.
+# ContactCertificate.from_json checks both before it parses any label, and
+# verify_certificate before it builds any basis or matrix. The library's own
+# certificates stay far below it: enumerate's n <= 12 means dim <= 143, and
+# the largest spec the tests and benchmarks verify, 2|18 / 20, has dim 363.
 MAX_VERIFY_DIM = 1024
 
-# Most dual-matrix entries verify_certificate accepts, per vertex of the
-# spec: a form may have at most MAX_FORM_ENTRIES_PER_VERTEX * n entries. The
+# Most dual-matrix entries a certificate may have, per vertex of the spec: a
+# form may have at most MAX_FORM_ENTRIES_PER_VERTEX * n entries. The
 # dimension bound alone does not bound the time, since a dense dual matrix
 # makes B_phi dense. The library's own forms have at most 2n - 1 entries, one
 # per meander edge plus at most n - 1 diagonal duals (1.5n at most for
-# n <= 8); this is checked before any basis or matrix is built.
+# n <= 8). from_json checks it before it parses any entry.
 MAX_FORM_ENTRIES_PER_VERTEX = 2
 
 
@@ -218,17 +217,27 @@ class ContactCertificate:
         )
 
     @classmethod
-    def from_json(cls, text: str | dict) -> "ContactCertificate":
-        """Read what ``to_json`` writes. A missing field raises KeyError. A
-        field of another JSON type, a fraction in another form than
-        ``str(Fraction)`` writes, or a k that does not fit the case (a
-        string for OneCycle, null otherwise), raises ValueError."""
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, text: str) -> "ContactCertificate":
+        """Read what ``to_json`` writes, so a certificate that reads writes
+        back its own bytes. A missing field raises KeyError, and ValueError
+        refuses the rest: JSON too deep to read, a field of another JSON
+        type, a key, fraction or zero entry that ``to_json`` never writes, a
+        k that does not fit the case (a string for OneCycle, null otherwise),
+        and, before any label or entry is parsed, an over-limit certificate
+        (``_over_limit_reasons`` of the raw counts)."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply to read") from None
         _check_json_type("certificate", data, dict)
         spec = SeaweedSpec.parse(_json_field(data, "spec", str))
+        labels = _json_field(data, "basis", list)
+        duals = _json_field(data, "dual_matrix", dict)
+        if reasons := "; ".join(_over_limit_reasons(spec, len(labels), len(duals))):
+            raise ValueError(reasons)
         case = _json_field(data, "case", str)
         terms = []
-        for key, val in _json_field(data, "dual_matrix", dict).items():
+        for key, val in duals.items():
             what = f"dual_matrix entry {key!r}"
             _check_json_type(what, val, str)
             ij = _DUAL_MATRIX_KEY.fullmatch(key)
@@ -243,8 +252,10 @@ class ContactCertificate:
         return cls(
             spec=spec,
             case=case,
-            basis=tuple(label_from_json(b) for b in _json_field(data, "basis", list)),
-            form=OneForm.from_terms(spec.n, terms),
+            basis=tuple(map(label_from_json, labels)),
+            # one spelling per position, so the keys are distinct; OneForm
+            # refuses a zero or out-of-range entry
+            form=OneForm(spec.n, tuple(sorted(terms))),
             k=None if k is None else fraction_from_json(k, "field 'k'"),
             det_value=fraction_from_json(_json_field(data, "det", str), "field 'det'"),
             auxiliary=_json_field(data, "auxiliary", dict) if "auxiliary" in data else {},
@@ -277,8 +288,9 @@ def _label_text(label: BasisLabel) -> str:
     return json.dumps(label_to_json(label), indent=2).replace("\n", "\n    ")
 
 
-# two ASCII decimal ints, as ``to_json`` writes a dual-matrix key
-_DUAL_MATRIX_KEY = re.compile(r"([0-9]+),([0-9]+)")
+# a dual-matrix key as ``to_json`` writes it: two positive ASCII decimal ints
+# with no leading zeros, so each position has one spelling
+_DUAL_MATRIX_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
 
@@ -551,14 +563,16 @@ def synthesize_contact(spec: SeaweedSpec) -> ContactCertificate:
 # verification
 # ---------------------------------------------------------------------------
 
-def _over_limit_reasons(cert: ContactCertificate) -> Iterator[str]:
-    """Why the certificate is too large to verify, one text per limit it
-    exceeds. The one place either limit is compared; it builds nothing."""
-    spec = cert.spec
+def _over_limit_reasons(spec: SeaweedSpec, labels: int, entries: int) -> Iterator[str]:
+    """Why a certificate on ``spec`` with this many basis labels and
+    dual-matrix entries is too large to verify, one text per limit it
+    exceeds. The one place the limits are compared; it builds nothing."""
     dim = seaweed_dim(spec)
     if dim > MAX_VERIFY_DIM:
         yield f"{spec.text()} has dimension {dim}, above the verification limit {MAX_VERIFY_DIM}"
-    entries, limit = len(cert.form.entries), MAX_FORM_ENTRIES_PER_VERTEX * spec.n
+    if labels > MAX_VERIFY_DIM:
+        yield f"the basis has {labels} labels, above the verification limit {MAX_VERIFY_DIM}"
+    limit = MAX_FORM_ENTRIES_PER_VERTEX * spec.n
     if entries > limit:
         yield (
             f"the form has {entries} dual-matrix entries, "
@@ -583,7 +597,7 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     field returns False rather than raising.
     """
     try:
-        if any(_over_limit_reasons(cert)):
+        if any(_over_limit_reasons(cert.spec, len(cert.basis), len(cert.form.entries))):
             return False
         checked = check_basis(cert.spec, cert.basis)
         # one evaluation serves the determinant, the TwoPaths minor and the

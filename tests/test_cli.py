@@ -316,9 +316,11 @@ def test_verify_explains_an_over_limit_certificate(capsys, tmp_path):
     t0 = time.perf_counter()
     rc, out, err = run(capsys, "verify", str(path))
     assert time.perf_counter() - t0 < 1
-    assert rc == 1 and out == ""
-    assert "has dimension 159999, above the verification limit 1024" in err
-    assert "verification FAILED" in err
+    assert rc == 2 and out == ""
+    assert err == (
+        "seaweed: cannot read certificate: "
+        "400 / 400 has dimension 159999, above the verification limit 1024\n"
+    )
 
 
 def test_verify_explains_a_dense_form(capsys, tmp_path):
@@ -327,10 +329,22 @@ def test_verify_explains_a_dense_form(capsys, tmp_path):
     data = json.loads(path.read_text())
     data["dual_matrix"] = {f"{i},{j}": "1" for i in range(1, 9) for j in range(1, 9)}
     path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
     rc, out, err = run(capsys, "verify", str(path))
-    assert rc == 1 and out == ""
-    assert "the form has 64 dual-matrix entries, above the verification limit 16" in err
-    assert "verification FAILED" in err
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2 and out == ""
+    assert err == (
+        "seaweed: cannot read certificate: the form has 64 dual-matrix entries, "
+        "above the verification limit 16 for n = 8\n"
+    )
+
+
+def test_verify_deeply_nested_json_is_unreadable(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == "seaweed: cannot read certificate: the JSON nests too deeply to read\n"
 
 
 def _swap_label(old, new):
@@ -378,12 +392,20 @@ _H1 = {"name": "h1", "entries": ["1", "-1", "0", "0", "0", "0", "0", "0"]}
          "dual_matrix key '8, 3' must be two decimal ints 'i,j'"),
         ("dual_matrix", _rename_key("8,3", "8,3,1"),
          "dual_matrix key '8,3,1' must be two decimal ints 'i,j'"),
+        # each position has one spelling and no zero is written, so a
+        # certificate that reads writes back its own bytes
+        ("dual_matrix", _rename_key("1,8", "01,8"),
+         "dual_matrix key '01,8' must be two decimal ints 'i,j'"),
+        ("dual_matrix", lambda entries: {**entries, "1,1": "0"}, "explicit zero entry at (1,1)"),
+        # OneForm.from_terms would add the two entries up
+        ("dual_matrix", lambda entries: {**entries, "01,8": "1"},
+         "dual_matrix key '01,8' must be two decimal ints 'i,j'"),
     ],
     ids=[
         "dual-matrix-list", "spec-number", "unit-bool", "unit-string", "diagdiff-string",
         "diagdiff-float", "diag-name-number", "diag-entries-numbers", "unit-and-diagdiff",
         "empty-label", "key-underscore",
-        "key-space", "key-three-parts",
+        "key-space", "key-three-parts", "key-leading-zero", "zero-entry", "key-two-spellings",
     ],
 )
 def test_verify_mistyped_field_is_unreadable(capsys, tmp_path, field, value, message):
@@ -715,18 +737,17 @@ def test_oracle_full_algebra(capsys):
     assert rc == 0 and out == "index 2\n"
 
 
-def test_oracle_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("SEAWEED_SEED", "4242")
-    rc, out, _ = run(capsys, "oracle", "2 / 2", "--trials", "3")
-    assert rc == 0 and out == "index 1\n"
-
-
-def test_oracle_seed_flag_beats_env(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [("oracle", "2|2|2 / 6"), ("index", "2|2|2 / 6", "--method", "oracle")],
+    ids=["oracle", "index-oracle"],
+)
+def test_oracle_output_ignores_the_environment(capsys, monkeypatch, argv):
+    # the output depends on the arguments alone: no variable sets the seed
+    expected = run(capsys, *argv)
     monkeypatch.setenv("SEAWEED_SEED", "banana")
-    rc, _, err = run(capsys, "oracle", "2 / 2", "--trials", "3")
-    assert rc == 2 and "SEAWEED_SEED" in err
-    rc, out, _ = run(capsys, "oracle", "2 / 2", "--trials", "3", "--seed", "7")
-    assert rc == 0 and out == "index 1\n"
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1] == "index 3\n"
 
 
 @pytest.mark.parametrize(
@@ -735,11 +756,19 @@ def test_oracle_seed_flag_beats_env(capsys, monkeypatch):
     ids=["oracle", "index-oracle"],
 )
 def test_a_bad_seed_exits_before_the_algebra_is_built(capsys, monkeypatch, argv):
-    monkeypatch.setenv("SEAWEED_SEED", "banana")
     monkeypatch.setattr(seaweed.cli, "materialize", _refuse)
-    rc, out, err = run(capsys, *argv)
+    rc, out, err = run(capsys, *argv, "--seed", "banana")
     assert rc == 2 and out == ""
-    assert err == "seaweed: SEAWEED_SEED='banana' is not an integer\n"
+    assert "argument --seed: invalid int value: 'banana'" in err
+
+
+def test_the_default_seed_is_1729(capsys):
+    # the max |det - wedge| line depends on the seed, so the bytes pin it
+    argv = ("oracle", "2 / 2", "--trials", "5", "--lemma1")
+    default = run(capsys, *argv)
+    assert default[0] == 0 and "max |det - wedge|" in default[1]
+    assert run(capsys, *argv, "--seed", "1729") == default
+    assert run(capsys, *argv, "--seed", "7") != default
 
 
 def test_oracle_lemma1_reports_discrepancy(capsys):

@@ -656,6 +656,38 @@ def test_verify_rejects_a_dense_form_before_building_anything(monkeypatch):
     assert built == []
 
 
+_ONES = "|".join(["1"] * 1025)  # the diagonal seaweed on 1,025 vertices: dim 1024
+
+
+def _parsed(*args):
+    raise AssertionError("parsed a label or entry of an over-limit certificate")
+
+
+@pytest.mark.parametrize(
+    "basis, dual_matrix, message",
+    [
+        ([{"diagdiff": 1}] * 2000, {},
+         "the basis has 2000 labels, above the verification limit 1024"),
+        ([{"diagdiff": i} for i in range(1, 1025)],
+         {f"{i},{j}": "1" for i in range(1, 4) for j in range(1, 1001)},
+         "the form has 3000 dual-matrix entries, above the verification limit 2050 for n = 1025"),
+    ],
+    ids=["basis", "dual-matrix"],
+)
+def test_reader_refuses_an_over_limit_certificate_before_parsing_it(
+    monkeypatch, basis, dual_matrix, message
+):
+    monkeypatch.setattr(seaweed.contact, "label_from_json", _parsed)
+    monkeypatch.setattr(seaweed.contact, "fraction_from_json", _parsed)
+    text = json.dumps({
+        "spec": f"{_ONES} / {_ONES}", "case": "TwoPaths", "basis": basis,
+        "dual_matrix": dual_matrix, "k": None, "det": "1",
+    })
+    with pytest.raises(ValueError) as exc:
+        ContactCertificate.from_json(text)
+    assert str(exc.value) == message
+
+
 def test_form_entry_limit_admits_the_library_forms():
     # one entry per meander edge plus at most n - 1 diagonal duals
     for n in range(1, 7):
@@ -694,7 +726,7 @@ def test_fraction_reader_refuses_a_huge_exponent_fast():
     with pytest.raises(ValueError):
         fraction_from_json("1e10000000", "field 'det'")
     with pytest.raises(ValueError, match="field 'det'"):
-        ContactCertificate.from_json(data)
+        ContactCertificate.from_json(json.dumps(data))
     assert time.process_time() - start < 1.0
 
 
@@ -703,7 +735,7 @@ def test_certificate_json_missing_field():
     data = json.loads(cert.to_json())
     del data["det"]
     with pytest.raises(KeyError):
-        ContactCertificate.from_json(data)
+        ContactCertificate.from_json(json.dumps(data))
 
 
 # ---------------------------------------------------------------------------

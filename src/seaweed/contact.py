@@ -220,13 +220,14 @@ class ContactCertificate:
     def from_json(cls, text: str) -> "ContactCertificate":
         """Read what ``to_json`` writes, so a certificate that reads writes
         back its own bytes. A missing field raises KeyError, and ValueError
-        refuses the rest: JSON too deep to read, a field of another JSON
-        type, a key, fraction or zero entry that ``to_json`` never writes, a
-        k that does not fit the case (a string for OneCycle, null otherwise),
-        and, before any label or entry is parsed, an over-limit certificate
-        (``_over_limit_reasons`` of the raw counts)."""
+        refuses the rest: JSON too deep to read, a key repeated in any
+        object, a field of another JSON type, a case, key, fraction or zero
+        entry that ``to_json`` never writes, a k that does not fit the case
+        (a string for OneCycle, null otherwise), and, before any label or
+        entry is parsed, an over-limit certificate (``_over_limit_reasons``
+        of the raw counts)."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("the JSON nests too deeply to read") from None
         _check_json_type("certificate", data, dict)
@@ -236,6 +237,8 @@ class ContactCertificate:
         if reasons := "; ".join(_over_limit_reasons(spec, len(labels), len(duals))):
             raise ValueError(reasons)
         case = _json_field(data, "case", str)
+        if case not in ("TwoPaths", "OneCycle", "SL2"):
+            raise ValueError(f"field 'case' must be TwoPaths, OneCycle or SL2, not {case!r}")
         terms = []
         for key, val in duals.items():
             what = f"dual_matrix entry {key!r}"
@@ -293,6 +296,16 @@ def _label_text(label: BasisLabel) -> str:
 _DUAL_MATRIX_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key, whose last
+    value ``json.loads`` would keep."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
+    return data
 
 
 def _check_json_type(what: str, value: object, kind: type) -> None:
@@ -584,7 +597,9 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     """Re-derive the determinant from the certificate's own data.
 
     A certificate over a size limit (``_over_limit_reasons``) is rejected
-    before anything is built. Otherwise the basis must pass ``check_basis``
+    before anything is built, and so is one whose case does not fit its
+    meander: TwoPaths for two paths, for one cycle SL2 at n = 2 and OneCycle
+    otherwise. Then the basis must pass ``check_basis``
     (a full basis of that seaweed), and the form, read as the dual matrix W,
     is evaluated by trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the
     gl(n) bracket rules, with no structure table. The bordered determinant
@@ -598,6 +613,9 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     """
     try:
         if any(_over_limit_reasons(cert.spec, len(cert.basis), len(cert.form.entries))):
+            return False
+        one_cycle = "SL2" if cert.spec.n == 2 else "OneCycle"
+        if {(0, 2): "TwoPaths", (1, 0): one_cycle}.get(counts(build_meander(cert.spec))) != cert.case:
             return False
         checked = check_basis(cert.spec, cert.basis)
         # one evaluation serves the determinant, the TwoPaths minor and the
@@ -655,7 +673,7 @@ def frobenius_plus_contact_combine(
         if not support <= part:
             raise ValueError(f"{which} form has support outside its part")
     for part, which in ((s1, "first"), (s2, "second")):
-        for (i, j, vec) in L.pairs():
+        for (i, j), vec in L.table.items():
             if i in part and j in part and any(k not in part for k, _ in vec):
                 raise ValueError(f"{which} part is not closed under the bracket")
 

@@ -1,5 +1,7 @@
 """Finite-dimensional Lie algebras over Q by structure constants.
 
+An algebra keeps its constants once, as integers over one common denominator
+(``LieAlgebra.table`` and ``den``), and every operation reads that table.
 Hosts the Kirillov form B_phi(x, y) = phi([x, y]), the randomized index oracle,
 the det[Bhat_phi] contact test, and an independent exterior-algebra oracle that
 expands phi ^ (dphi)^k literally. Algebras are immutable once built; all
@@ -11,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .exact import RatMatrix, _clear_denominators, det as _det  # noqa: F401 (perfbench reads _det)
@@ -70,31 +72,21 @@ class CoeffForm:
 
 
 SparseVec = tuple[tuple[int, Fraction], ...]
-# the structure constants in integers, sparsely: (i, j) -> [(k, c), ...]
-IntTable = dict[tuple[int, int], list[tuple[int, int]]]
+# the structure constants times one denominator, sparsely: (i, j) -> ((k, c), ...)
+IntTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure-constant presentation: table[(i, j)] with i < j holds the
-    coefficient vector of [E_i, E_j], sparsely. Antisymmetry is implicit."""
+    """Structure-constant presentation, built by ``from_table``: table[(i, j)]
+    with i < j holds den * [E_i, E_j] sparsely, as ((k, c), ...) with integer
+    c != 0, and den is the one common denominator of all the constants.
+    Antisymmetry is implicit."""
 
     dim: int
     basis_labels: tuple[str, ...]
-    table: tuple[tuple[int, int, SparseVec], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.basis_labels) != self.dim:
-            raise ValueError("label count != dim")
-        pair_map: dict[tuple[int, int], SparseVec] = {}
-        for i, j, vec in self.table:
-            if not (0 <= i < j < self.dim):
-                raise ValueError(f"bad table pair ({i}, {j})")
-            if (i, j) in pair_map:
-                raise ValueError(f"duplicate table pair ({i}, {j})")
-            pair_map[(i, j)] = vec
-        object.__setattr__(self, "_pairs", pair_map)
-        object.__setattr__(self, "_int_cache", None)
+    table: IntTable
+    den: int
 
     @classmethod
     def from_table(
@@ -103,44 +95,36 @@ class LieAlgebra:
         basis_labels: Sequence[str],
         brackets: dict[tuple[int, int], dict[int, Fraction | int]],
     ) -> "LieAlgebra":
+        """The algebra with [E_i, E_j] = sum_k brackets[(i, j)][k] E_k for
+        i < j; zero constants are dropped."""
+        labels = tuple(basis_labels)
+        if len(labels) != dim:
+            raise ValueError("label count != dim")
         rows = []
         for (i, j), vec in sorted(brackets.items()):
-            sv = tuple((k, Fraction(c)) for k, c in sorted(vec.items()) if c)
+            if not (0 <= i < j < dim):
+                raise ValueError(f"bad table pair ({i}, {j})")
+            sv = [(k, c) for k, c in sorted(vec.items()) if c]
             if sv:
-                rows.append((i, j, sv))
-        return cls(dim, tuple(basis_labels), tuple(rows))
+                rows.append(((i, j), sv))
+        ints, den = _clear_denominators(c for _, sv in rows for _, c in sv)
+        it = iter(ints)
+        return cls(dim, labels, {ij: tuple((k, next(it)) for k, _ in sv) for ij, sv in rows}, den)
 
     def bracket_coeffs(self, i: int, j: int) -> SparseVec:
         """Sparse coefficient vector of [E_i, E_j] (any i, j; sign handled)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._pairs.get((i, j), ())  # type: ignore[attr-defined]
-        vec = self._pairs.get((j, i), ())  # type: ignore[attr-defined]
-        return tuple((k, -c) for k, c in vec)
-
-    def pairs(self) -> Iterator[tuple[int, int, SparseVec]]:
-        yield from self.table
-
-    def _integer_table(self) -> tuple[int, IntTable]:
-        """Structure constants with denominators cleared by one global factor."""
-        cached = self._int_cache  # type: ignore[attr-defined]
-        if cached is not None:
-            return cached
-        ints, den = _clear_denominators(c for _, _, vec in self.table for _, c in vec)
-        it = iter(ints)
-        table = {(i, j): [(k, next(it)) for k, _ in vec] for i, j, vec in self.table}
-        object.__setattr__(self, "_int_cache", (den, table))
-        return den, table
+        sign = 1 if i < j else -1
+        vec = self.table.get((min(i, j), max(i, j)), ())
+        return tuple((k, Fraction(sign * c, self.den)) for k, c in vec)
 
     def scaled_form(self, phi: CoeffForm) -> tuple[list[int], list[list[int]], int]:
-        """(s * phi, s * B_phi, s) in integers, where s is the table's global
+        """(s * phi, s * B_phi, s) in integers, where s is the table's
         denominator times the lcm of phi's denominators."""
         if len(phi) != self.dim:
             raise ValueError("form length != dim")
         phi_ints, phi_den = _clear_denominators(phi.coefficients)
-        den, _ = self._integer_table()
-        return [den * v for v in phi_ints], _kirillov_int_rows(self, phi_ints), den * phi_den
+        rows = _kirillov_int_rows(self.dim, self.table, phi_ints)
+        return [self.den * v for v in phi_ints], rows, self.den * phi_den
 
 
 @dataclass(frozen=True)
@@ -160,44 +144,43 @@ class ProbablyNotContact:
 def bracket(
     L: LieAlgebra, x: Sequence[Fraction | int], y: Sequence[Fraction | int]
 ) -> list[Fraction]:
-    """[x, y] for coefficient vectors x, y, by bilinear extension."""
+    """[x, y] for coefficient vectors x, y, by bilinear extension:
+    sum over i < j of (x_i y_j - x_j y_i) [E_i, E_j], in integers."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length != dim")
-    out = [Fraction(0)] * L.dim
-    xs = [(i, Fraction(v)) for i, v in enumerate(x) if v]
-    ys = [(j, Fraction(v)) for j, v in enumerate(y) if v]
-    for i, xv in xs:
-        for j, yv in ys:
-            if i == j:
-                continue
-            f = xv * yv
-            for k, c in L.bracket_coeffs(i, j):
+    xs, xden = _clear_denominators(x)
+    ys, yden = _clear_denominators(y)
+    out = [0] * L.dim
+    for (i, j), vec in L.table.items():
+        f = xs[i] * ys[j] - xs[j] * ys[i]
+        if f:
+            for k, c in vec:
                 out[k] += f * c
-    return out
+    s = L.den * xden * yden
+    return [Fraction(v, s) for v in out]
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
     """All basis triples (i < j < k) violating the Jacobi identity.
 
     Empty result means the table is a genuine Lie algebra. The sum
-    [[Ei,Ej],Ek] + [[Ej,Ek],Ei] + [[Ek,Ei],Ej] is accumulated sparsely.
+    [[Ei,Ej],Ek] + [[Ej,Ek],Ei] + [[Ek,Ei],Ej] is accumulated sparsely on the
+    integer table. It is quadratic in the constants, so the table's sum is
+    den^2 times the algebra's, and zero exactly when that is.
     """
+    # both orders of every pair, so [E_a, E_b] is one lookup
+    full = dict(L.table)
+    full.update(((j, i), tuple((k, -c) for k, c in vec)) for (i, j), vec in L.table.items())
     bad: list[tuple[int, int, int]] = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            cij = L.bracket_coeffs(i, j)
             for k in range(j + 1, L.dim):
-                acc: dict[int, Fraction] = {}
-                for trip in (
-                    (cij, k),
-                    (L.bracket_coeffs(j, k), i),
-                    (L.bracket_coeffs(k, i), j),
-                ):
-                    vec, other = trip
-                    for m, c in vec:
-                        for t, c2 in L.bracket_coeffs(m, other):
-                            acc[t] = acc.get(t, Fraction(0)) + c * c2
-                if any(v != 0 for v in acc.values()):
+                acc: dict[int, int] = {}
+                for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in full.get((a, b), ()):
+                        for t, c2 in full.get((m, other), ()):
+                            acc[t] = acc.get(t, 0) + c * c2
+                if any(acc.values()):
                     bad.append((i, j, k))
     return bad
 
@@ -209,16 +192,12 @@ def kirillov_matrix(L: LieAlgebra, phi: CoeffForm) -> RatMatrix:
     return RatMatrix.from_rows([Fraction(v, s) for v in row] for row in rows)
 
 
-def _kirillov_int_rows(
-    L: LieAlgebra, phi_ints: Sequence[int], table: IntTable | None = None
-) -> list[list[int]]:
-    """Rows of den * B_phi for integer phi, den the table's denominator: the
-    one place phi([E_i, E_j]) is evaluated. The scale leaves the rank alone.
-    ``table`` defaults to L's integer table; the index oracle passes it
-    relabelled by an elimination order."""
-    if table is None:
-        _, table = L._integer_table()
-    d = L.dim
+def _kirillov_int_rows(d: int, table: IntTable, phi_ints: Sequence[int]) -> list[list[int]]:
+    """Rows of the d x d skew matrix with (i, j) entry sum_k c phi_ints[k] over
+    table[(i, j)]: den * B_phi for integer phi, given a ``LieAlgebra``'s table,
+    the one place phi([E_i, E_j]) is evaluated. The scale leaves the rank
+    alone. The index oracle also passes the table relabelled by an
+    elimination order."""
     rows = [[0] * d for _ in range(d)]
     for (i, j), vec in table.items():
         v = 0
@@ -268,18 +247,17 @@ def index_randomized(
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     floor = d % 2
     best: int | None = None
-    ordered = None
+    table = L.table
     for _ in range(trials):
         phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(d)]
-        rows = _kirillov_int_rows(L, phi, ordered)
+        rows = _kirillov_int_rows(d, table, phi)
         kd = d - _kernels.rank_mod(rows, _PRIME)
         if kd != floor:
-            if ordered is None:
+            if table is L.table:
                 # index i moves to row and column pos[i]
-                _, table = L._integer_table()
-                pos = _kernels.skew_order(d, table)
-                ordered = {(pos[i], pos[j]): vec for (i, j), vec in table.items()}
-                rows = _kirillov_int_rows(L, phi, ordered)
+                pos = _kernels.skew_order(d, L.table)
+                table = {(pos[i], pos[j]): vec for (i, j), vec in L.table.items()}
+                rows = _kirillov_int_rows(d, table, phi)
             kd = d - _kernels.rank_int(rows)
         if best is None or kd < best:
             best = kd

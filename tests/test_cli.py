@@ -419,6 +419,53 @@ def test_verify_mistyped_field_is_unreadable(capsys, tmp_path, field, value, mes
     assert err == f"seaweed: cannot read certificate: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('    "1,8": "1",', '    "1,8": "5",\n    "1,8": "1",', "1,8"),
+        ('  "case": "OneCycle",', '  "case": "SL2",\n  "case": "OneCycle",', "case"),
+        ('{\n      "diagdiff": 1\n    }', '{\n      "diagdiff": 2,\n      "diagdiff": 1\n    }', "diagdiff"),
+    ],
+    ids=["dual-matrix-key", "case", "label-key"],
+)
+def test_verify_repeated_key_is_unreadable(capsys, tmp_path, old, new, key):
+    # json.loads keeps a repeated key's last value, so each file would read
+    # as the certificate and verify, yet not write back its own bytes
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "2|6 / 8", "--out", str(path))
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: cannot read certificate: key {key!r} is repeated\n"
+
+
+@pytest.mark.parametrize("case", ["Bogus", "twopaths", ""])
+def test_verify_unknown_case_is_unreadable(capsys, tmp_path, case):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "1|4 / 3|1|1", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["case"] = case
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == (
+        "seaweed: cannot read certificate: "
+        f"field 'case' must be TwoPaths, OneCycle or SL2, not {case!r}\n"
+    )
+
+
+def test_verify_rejects_a_two_paths_certificate_renamed_sl2(capsys, tmp_path):
+    # SL2 takes k null like TwoPaths, so the file reads; the spec's meander
+    # has two paths, so it does not verify
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "1|4 / 3|1|1", "--out", str(path))
+    path.write_text(path.read_text().replace('"case": "TwoPaths"', '"case": "SL2"'))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 1 and out == "" and "FAILED" in err
+
+
 def _json_kind(value):
     for kind in (type(None), bool, (int, float), str, list, dict):
         if isinstance(value, kind):

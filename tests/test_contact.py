@@ -492,7 +492,8 @@ def test_verify_rejects_wrong_spec():
 def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
     # Relabel each one-cycle certificate's h(1) as the same diagonal written
     # as a custom H and call it TwoPaths: algebra and determinant are
-    # unchanged, so only det = phi(H)^2 det C' can reject it.
+    # unchanged, so only the case check (a one-cycle meander calls for
+    # OneCycle or SL2) and det = phi(H)^2 det C' can reject it.
     forged = []
     for n in range(2, 7):
         for sp in spec_pairs(n):
@@ -507,6 +508,45 @@ def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
         coeffs = dual_matrix_to_coeffs(cert.spec, cert.basis, cert.form.as_dict())
         assert bhat_det(materialize(cert.spec, cert.basis), coeffs) == cert.det_value
         assert not verify_certificate(cert), cert.spec.text()
+
+
+def test_verify_rejects_a_two_paths_certificate_whose_h_is_sheared():
+    # H -> H + h(i) with phi(h(i)) != 0 is a unimodular change of basis: the
+    # bordered determinant and the wedge stay, and so do the case and C',
+    # but phi(H) moves, so only det = phi(H)^2 det C' can reject it
+    sheared = []
+    for n in range(2, 7):
+        for sp in spec_pairs(n):
+            if counts(build_meander(sp)) != (0, 2):
+                continue
+            cert = case1_contact(sp)
+            w = cert.form.as_dict()
+            moved = [b.i for b in cert.basis if isinstance(b, DiagDiff)
+                     and w.get((b.i, b.i), 0) != w.get((b.i + 1, b.i + 1), 0)]
+            if not moved:
+                continue
+            i = moved[0]
+            (h,) = [k for k, b in enumerate(cert.basis) if isinstance(b, CustomDiagonal)]
+            H = cert.basis[h]
+            entries = list(H.entries)
+            entries[i - 1] += 1
+            entries[i] -= 1
+            basis = cert.basis[:h] + (CustomDiagonal(H.name, tuple(entries)),) + cert.basis[h + 1:]
+            sheared.append(dataclasses.replace(cert, basis=basis))
+    assert len(sheared) == 84
+    for cert in sheared:
+        assert not verify_certificate(cert), cert.spec.text()
+
+
+def test_verify_rejects_a_case_the_meander_does_not_call_for():
+    # TwoPaths, OneCycle and SL2 specs: a renamed case must not skip or
+    # borrow a case's checks
+    for text in ("1|4 / 3|1|1", "2|6 / 8", "2 / 2"):
+        cert = synthesize_contact(spec(text))
+        assert verify_certificate(cert)
+        for case in ("TwoPaths", "OneCycle", "SL2", "Bogus"):
+            if case != cert.case:
+                assert not verify_certificate(dataclasses.replace(cert, case=case)), (text, case)
 
 
 def _label_matrix(label, n):

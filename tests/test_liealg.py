@@ -99,8 +99,21 @@ def bhat_rows(L, phi):
 # ---------------------------------------------------------------------------
 
 def test_from_table_drops_zeros_and_sorts():
-    L = LieAlgebra.from_table(2, ["a", "b"], {(0, 1): {0: 0, 1: 3}})
-    assert L.table == ((0, 1, ((1, Fraction(3)),)),)
+    L = LieAlgebra.from_table(2, ["a", "b"], {(0, 1): {1: 3, 0: 0}})
+    assert L.table == {(0, 1): ((1, 3),)} and L.den == 1
+    M = LieAlgebra.from_table(3, ["a", "b", "c"], {(1, 2): {0: 0}, (0, 2): {2: 5, 1: -1}})
+    assert M.table == {(0, 2): ((1, -1), (2, 5))} and M.den == 1
+
+
+def test_from_table_clears_denominators_once():
+    L = LieAlgebra.from_table(4, "abcd", {(0, 1): {2: Fraction(1, 2), 3: Fraction(1, 3)}, (1, 2): {0: 4}})
+    assert L.den == 6
+    assert L.table == {(0, 1): ((2, 3), (3, 2)), (1, 2): ((0, 24),)}
+    assert L.bracket_coeffs(0, 1) == ((2, Fraction(1, 2)), (3, Fraction(1, 3)))
+    assert L.bracket_coeffs(1, 0) == ((2, Fraction(-1, 2)), (3, Fraction(-1, 3)))
+    assert L.bracket_coeffs(1, 2) == ((0, Fraction(4)),)
+    assert L.bracket_coeffs(0, 3) == ()
+    assert bracket(L, [1, 0, 0, 0], [0, Fraction(3, 5), 0, 0]) == [0, 0, Fraction(3, 10), Fraction(1, 5)]
 
 
 def test_bracket_coeffs_antisymmetric():
@@ -153,6 +166,15 @@ def test_jacobi_flags_corrupted_table():
         3, ["e1", "e2", "e3"], {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {1: 1}}
     )
     assert jacobi_check(bad) == [(0, 1, 2)]
+
+
+def test_jacobi_flags_corrupted_table_with_a_denominator():
+    # sl(2) in the basis (2h, e, f) has den 2; doubling [2h, e] breaks it
+    assert jacobi_check(sl2_half()) == []
+    bad = LieAlgebra.from_table(
+        3, ["2h", "e", "f"], {(0, 1): {1: 8}, (0, 2): {2: -4}, (1, 2): {0: Fraction(1, 2)}}
+    )
+    assert bad.den == 2 and jacobi_check(bad) == [(0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +265,7 @@ def test_elimination_order_is_a_permutation():
     for n in range(1, 7):
         for sp in spec_pairs(n):
             L = materialize(sp)
-            _, table = L._integer_table()
-            assert sorted(_kernels.skew_order(L.dim, table)) == list(range(L.dim))
+            assert sorted(_kernels.skew_order(L.dim, L.table)) == list(range(L.dim))
 
 
 def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank(monkeypatch):
@@ -262,7 +283,7 @@ def test_index_of_a_large_seaweed_through_the_packed_mod_p_rank(monkeypatch):
     assert index_randomized(L, trials=25, seed=1729) == 1
     rng = random.Random(1729)
     phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(L.dim)]
-    rows = liealg._kirillov_int_rows(L, phi)
+    rows = liealg._kirillov_int_rows(L.dim, L.table, phi)
     assert _kernels.rank_mod(rows, liealg._PRIME) == 362
 
 

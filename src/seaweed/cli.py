@@ -11,9 +11,10 @@ Subcommands:
   oracle     randomized-rank index, optionally cross-checking the bordered
              determinant against the exterior-algebra volume coefficient
 
-Exit codes: 0 success, 1 verification/check failure, 2 bad input, 3 method
-not applicable to the spec, 4 spec is not index one, 5 a contact construction
-failed that its proof says cannot fail.
+Exit codes: 0 success, 1 verification/check failure, 2 bad input or an
+``--out`` file that cannot be written, 3 method not applicable to the spec,
+4 spec is not index one, 5 a contact construction failed that its proof says
+cannot fail.
 ``contact``, ``oracle`` and ``index --method oracle`` exit 2 before building
 anything for a spec of dimension above ``contact.MAX_VERIFY_DIM``, and
 ``index`` and ``meander`` for a spec on more than MAX_VERIFY_DIM + 1 vertices.
@@ -40,7 +41,7 @@ from .contact import (
     MAX_VERIFY_DIM,
     ContactCertificate,
     NotIndexOneError,
-    SynthesisError,
+    TheoremViolationError,
     synthesize_contact,
     verify_certificate,
 )
@@ -68,37 +69,36 @@ def _parse_spec(text: str) -> SeaweedSpec:
         raise SystemExit(2)
 
 
-def _check_buildable(spec: SeaweedSpec) -> None:
-    """Exit 2 before building a matrix for a spec above MAX_VERIFY_DIM, the
-    dimension limit that verification also applies."""
-    dim = seaweed_dim(spec)
-    if dim > MAX_VERIFY_DIM:
+def _check_size(spec: SeaweedSpec, matrices: bool) -> None:
+    """Exit 2 before building anything for a spec above MAX_VERIFY_DIM, the
+    dimension limit that verification also applies. Matrices are limited by
+    the spec's dimension; a meander, whose cost is linear in n, by n - 1, the
+    least dimension of a seaweed on n vertices."""
+    if matrices:
+        size = seaweed_dim(spec)
+        has, limit, what = f"dimension {size}", MAX_VERIFY_DIM, "its matrices"
+    else:
+        size = spec.n
+        has, limit, what = f"{size} vertices", MAX_VERIFY_DIM + 1, "its meander"
+    if size > limit:
         print(
-            f"seaweed: {spec.text()} has dimension {dim}, "
-            f"above the limit {MAX_VERIFY_DIM} for building its matrices",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-
-
-def _check_vertices(spec: SeaweedSpec) -> None:
-    """Exit 2 before building a meander for a spec with n - 1 above MAX_VERIFY_DIM,
-    the least dimension of a seaweed on n vertices."""
-    if spec.n - 1 > MAX_VERIFY_DIM:
-        print(
-            f"seaweed: {spec.text()} has {spec.n} vertices, "
-            f"above the limit {MAX_VERIFY_DIM + 1} for building its meander",
+            f"seaweed: {spec.text()} has {has}, above the limit {limit} for building {what}",
             file=sys.stderr,
         )
         raise SystemExit(2)
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the file out; exit 2 if out cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"seaweed: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +107,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_index(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
-    if args.method == "oracle":
-        _check_buildable(spec)
-    else:
-        _check_vertices(spec)
+    _check_size(spec, matrices=args.method == "oracle")
     rep = components(build_meander(spec))
     if args.method == "meander":
         idx = rep.index
@@ -145,7 +142,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_meander(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
-    _check_vertices(spec)
+    _check_size(spec, matrices=False)
     m = build_meander(spec)
     _emit(render(orient(m) if args.directed else m, args.format), args.out)
     return 0
@@ -153,14 +150,14 @@ def cmd_meander(args: argparse.Namespace) -> int:
 
 def cmd_contact(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.spec)
-    _check_buildable(spec)
+    _check_size(spec, matrices=True)
     try:
         cert = synthesize_contact(spec)
     except NotIndexOneError as exc:
         tag = " (Frobenius)" if exc.index == 0 else ""
         print(f"seaweed: {spec.text()} has index {exc.index}{tag}, not 1", file=sys.stderr)
         return 4
-    except SynthesisError as exc:
+    except TheoremViolationError as exc:
         print(f"seaweed: {exc}", file=sys.stderr)
         return 5
     payload = cert.to_json() + "\n"
@@ -181,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = ContactCertificate.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"seaweed: cannot read certificate: {exc}", file=sys.stderr)
         return 2
     if not verify_certificate(cert):
@@ -301,7 +298,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"seaweed: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return 2
     spec = _parse_spec(args.spec)
-    _check_buildable(spec)
+    _check_size(spec, matrices=True)
     L = materialize(spec)
     idx = index_randomized(L, trials=args.trials, seed=args.seed)
     print(f"index {idx}")

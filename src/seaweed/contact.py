@@ -53,7 +53,6 @@ __all__ = [
     "ContactCertificate",
     "NotIndexOneError",
     "WrongCaseError",
-    "SynthesisError",
     "TheoremViolationError",
     "regular_form_from_meander",
     "case1_contact",
@@ -94,13 +93,9 @@ class WrongCaseError(ValueError):
     """The meander shape does not match the requested construction case."""
 
 
-class SynthesisError(RuntimeError):
-    """A contact construction failed. The constructions search nothing, so
-    the one failure they raise is the subclass ``TheoremViolationError``."""
-
-
-class TheoremViolationError(SynthesisError):
-    """A step the construction guarantees cannot fail did fail.
+class TheoremViolationError(RuntimeError):
+    """A step the construction guarantees cannot fail did fail. The
+    constructions search nothing, so this is the one way they fail.
 
     Raising this means a bug somewhere, not bad input: the construction
     proves the relevant determinant or kernel condition always holds.
@@ -181,19 +176,23 @@ class OneForm:
 class ContactCertificate:
     """Everything needed to re-check that ``form`` is contact on ``spec``.
 
-    ``case`` is "TwoPaths", "OneCycle" or "SL2"; ``k`` is the center weight
-    for OneCycle and None otherwise; ``auxiliary`` records case-specific
-    construction data (H and the diagonal index, or the removed edge and
-    Heisenberg generators) purely for inspection.
+    ``case`` is "TwoPaths", "OneCycle" or "SL2"; ``auxiliary`` records
+    case-specific construction data (H and the diagonal index, or the removed
+    edge and Heisenberg generators) purely for inspection.
     """
 
     spec: SeaweedSpec
     case: str
     basis: tuple[BasisLabel, ...]
     form: OneForm
-    k: Fraction | None
     det_value: Fraction
     auxiliary: dict = field(default_factory=dict)
+
+    @property
+    def k(self) -> Fraction | None:
+        """The center weight: 1 for OneCycle, the one weight ``case2_contact``
+        needs, and None for the cases without a center."""
+        return Fraction(1) if self.case == "OneCycle" else None
 
     def to_json(self) -> str:
         """The certificate as indented JSON, byte for byte what
@@ -219,12 +218,12 @@ class ContactCertificate:
     @classmethod
     def from_json(cls, text: str) -> "ContactCertificate":
         """Read what ``to_json`` writes, so a certificate that reads writes
-        back its own bytes. A missing field raises KeyError, and ValueError
-        refuses the rest: JSON too deep to read, a key repeated in any
-        object, a field of another JSON type, a case, key, fraction or zero
-        entry that ``to_json`` never writes, a k that does not fit the case
-        (a string for OneCycle, null otherwise), and, before any label or
-        entry is parsed, an over-limit certificate (``_over_limit_reasons``
+        back its own bytes. It raises ValueError on anything else: JSON too
+        deep to read, a missing field other than ``auxiliary``, a key
+        repeated in any object, a field of another JSON type, a case, key,
+        fraction or zero entry that ``to_json`` never writes, a k other than
+        the case's ("1" for OneCycle, null otherwise), and, before any label
+        or entry is parsed, an over-limit certificate (``_over_limit_reasons``
         of the raw counts)."""
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -247,11 +246,13 @@ class ContactCertificate:
             if ij is None:
                 raise ValueError(f"dual_matrix key {key!r} must be two decimal ints 'i,j'")
             terms.append(((int(ij[1]), int(ij[2])), fraction_from_json(val, what)))
-        k = data.get("k")
-        if case == "OneCycle":
-            _check_json_type("OneCycle field 'k'", k, str)
-        elif k is not None:
-            raise ValueError(f"field 'k' must be null for a {case} certificate")
+        k = _json_field(data, "k")
+        want = "1" if case == "OneCycle" else None
+        if k != want:
+            raise ValueError(
+                f"field 'k' must be {json.dumps(want)} for a {case} certificate, "
+                f"not {json.dumps(k)}"
+            )
         return cls(
             spec=spec,
             case=case,
@@ -259,7 +260,6 @@ class ContactCertificate:
             # one spelling per position, so the keys are distinct; OneForm
             # refuses a zero or out-of-range entry
             form=OneForm(spec.n, tuple(sorted(terms))),
-            k=None if k is None else fraction_from_json(k, "field 'k'"),
             det_value=fraction_from_json(_json_field(data, "det", str), "field 'det'"),
             auxiliary=_json_field(data, "auxiliary", dict) if "auxiliary" in data else {},
         )
@@ -313,8 +313,10 @@ def _check_json_type(what: str, value: object, kind: type) -> None:
         raise ValueError(f"{what} must be {_JSON_TYPE_NAMES[kind]}, not {type(value).__name__}")
 
 
-def _json_field(data: dict, key: str, kind: type):
-    """data[key], checked to be a JSON value of the given kind."""
+def _json_field(data: dict, key: str, kind: type = object):
+    """data[key], which must be present and a JSON value of the given kind."""
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
     value = data[key]
     _check_json_type(f"field {key!r}", value, kind)
     return value
@@ -472,20 +474,20 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
         "det_c_prime": str(dval / phi_H**2),
     }
     return ContactCertificate(
-        spec=spec, case="TwoPaths", basis=basis, form=form, k=None, det_value=dval, auxiliary=aux
+        spec=spec, case="TwoPaths", basis=basis, form=form, det_value=dval, auxiliary=aux
     )
 
 
 def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     """Contact form for a single-cycle meander.
 
-    For n = 2 the seaweed is sl(2) up to center and e(1,2)* + e(2,1)* works
-    outright. Otherwise some end part of the top or bottom composition has
-    size >= 4; deleting its outermost arc turns the block 's' into 1|s-2|1
-    and the resulting seaweed g' is Frobenius. The deleted directions span a
-    Heisenberg subalgebra whose center c is the deleted arc's own matrix
-    position. The form is phi' + k c*, with phi' the regular form of g' and
-    the center weight k = 1.
+    For n = 2 the seaweed is sl(2) up to center and its regular form
+    e(1,2)* + e(2,1)* works outright. Otherwise some end part of the top or
+    bottom composition has size >= 4; deleting its outermost arc turns the
+    block 's' into 1|s-2|1 and the resulting seaweed g' is Frobenius. The
+    deleted directions span a Heisenberg subalgebra whose center c is the
+    deleted arc's own matrix position. The form is phi' + k c*, with phi'
+    the regular form of g' and the center weight k = 1.
 
     No other k can succeed where k = 1 fails. g' is Frobenius, so its
     meander is a single path, and there is a diagonal t with t_i / t_j = a
@@ -498,7 +500,8 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     f(k) = det Bhat(phi' + k c*) satisfies f(a^-2 k) = rho(a) f(k) for every
     a, which leaves f = c k^m: if f(1) = 0, then f is 0 for every k.
     """
-    C, P = counts(build_meander(spec))
+    meander = build_meander(spec)
+    C, P = counts(meander)
     if C != 1 or P != 0:
         raise WrongCaseError(f"{spec.text()}: {C} cycles + {P} paths, need exactly one cycle")
     n = spec.n
@@ -506,13 +509,11 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     basis = checked.labels
 
     if n == 2:
-        form = OneForm.from_terms(2, [((1, 2), Fraction(1)), ((2, 1), Fraction(1))])
+        form = _regular_form(meander)
         dval = bhat_det(checked, form.as_dict())
         if dval == 0:
             raise TheoremViolationError("e(1,2)* + e(2,1)* failed on 2 / 2")
-        return ContactCertificate(
-            spec=spec, case="SL2", basis=basis, form=form, k=None, det_value=dval
-        )
+        return ContactCertificate(spec=spec, case="SL2", basis=basis, form=form, det_value=dval)
 
     # the first end block of size >= 4: top first, then bottom, each side's
     # first block before its last
@@ -555,8 +556,7 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
         "center": list(center),
     }
     return ContactCertificate(
-        spec=spec, case="OneCycle", basis=basis, form=form, k=Fraction(1), det_value=dval,
-        auxiliary=aux,
+        spec=spec, case="OneCycle", basis=basis, form=form, det_value=dval, auxiliary=aux
     )
 
 

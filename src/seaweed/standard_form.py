@@ -62,11 +62,11 @@ class Arcs(tuple):
     checked once when it is built.
 
     The 2 * len(arcs) endpoints must be distinct and in [1, n]: no u == v and
-    no vertex on two arcs. One set decides; only a rejected side runs the
-    per-edge loop, which names the first bad edge. ``partners[v]`` is v's
-    partner on this side for v in 0..n, 0 for none. An ``Arcs`` equals,
-    hashes and prints as the plain tuple of its arcs. It cannot be changed,
-    since a ``Meander`` keeps an ``Arcs`` for its n without checking it again.
+    no vertex on two arcs; a rejected side names its first bad edge.
+    ``partners[v]`` is v's partner on this side for v in 0..n, 0 for none.
+    An ``Arcs`` equals, hashes and prints as the plain tuple of its arcs. It
+    cannot be changed, since a ``Meander`` keeps an ``Arcs`` for its n
+    without checking it again.
     """
 
     n: int
@@ -74,20 +74,12 @@ class Arcs(tuple):
 
     def __new__(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Arcs":
         self = super().__new__(cls, arcs)
-        ends: set[int] = set()
-        for (u, v) in self:
-            ends.add(u)
-            ends.add(v)
-        if not (len(ends) == 2 * len(self) and (not ends or 1 <= min(ends) and max(ends) <= n)):
-            touched: set[int] = set()
-            for (u, v) in self:
-                if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                    raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-                if u in touched or v in touched:
-                    raise ValueError(f"vertex reused on one side at ({u}, {v})")
-                touched.update((u, v))
         partners = [0] * (n + 1)
         for (u, v) in self:
+            if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+            if partners[u] or partners[v]:
+                raise ValueError(f"vertex reused on one side at ({u}, {v})")
             partners[u] = v
             partners[v] = u
         object.__setattr__(self, "n", n)

@@ -140,6 +140,20 @@ def test_meander_out_file(capsys, tmp_path):
     assert target.read_text().startswith("+-------+")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("meander", "2|6 / 8"), ("contact", "2|6 / 8"), ("contact", "2|6 / 8", "--json")],
+    ids=["meander", "contact", "contact-json"],
+)
+def test_an_unwritable_out_file_is_bad_input(capsys, tmp_path, argv):
+    # not a verification failure (exit 1); contact writes its file first,
+    # so nothing reaches stdout
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: cannot write {target}: No such file or directory\n"
+
+
 def test_meander_trivial_spec(capsys):
     rc, out, _ = run(capsys, "meander", "1 / 1")
     assert rc == 0 and out == "1\n"
@@ -262,11 +276,10 @@ def _diag_entry(data):
     "text, edit",
     [
         ("2|6 / 8", lambda data: data.update(det="1/0")),
-        ("2|6 / 8", lambda data: data.update(k="1/0")),
         ("2|6 / 8", lambda data: data["dual_matrix"].update({"8,3": "1/0"})),
         ("1|4 / 3|1|1", lambda data: _diag_entry(data).__setitem__(0, "1/0")),
     ],
-    ids=["det", "k", "dual-matrix", "custom-diagonal"],
+    ids=["det", "dual-matrix", "custom-diagonal"],
 )
 def test_verify_zero_denominator_is_unreadable(capsys, tmp_path, text, edit):
     path = tmp_path / "cert.json"
@@ -281,7 +294,6 @@ def test_verify_zero_denominator_is_unreadable(capsys, tmp_path, text, edit):
 _NON_CANONICAL = ["256.0", " 2.56e2 ", "256_0", "1.0", "2/4", "4/2", "-0"]
 _FRACTION_FIELDS = {
     "det": ("2|6 / 8", lambda data, v: data.update(det=v), "field 'det'"),
-    "k": ("2|6 / 8", lambda data, v: data.update(k=v), "field 'k'"),
     "dual-matrix": ("2|6 / 8", lambda data, v: data["dual_matrix"].update({"8,3": v}),
                     "dual_matrix entry '8,3'"),
     "custom-diagonal": ("1|4 / 3|1|1", lambda data, v: _diag_entry(data).__setitem__(0, v),
@@ -305,6 +317,42 @@ def test_verify_non_canonical_fraction_is_unreadable(capsys, tmp_path, field, va
         f"seaweed: cannot read certificate: {what} must be a fraction as str(Fraction) "
         f"writes it, such as '-3/4', not {value!r}\n"
     )
+
+
+_CASE_SPECS = {"OneCycle": "2|6 / 8", "TwoPaths": "1|4 / 3|1|1", "SL2": "2 / 2"}
+
+
+@pytest.mark.parametrize(
+    "case, value",
+    [("OneCycle", v) for v in ("-7/3", "1/0", None, 1, *_NON_CANONICAL)]
+    + [("TwoPaths", "1"), ("TwoPaths", "0"), ("SL2", "1")],
+)
+def test_verify_refuses_a_k_the_case_does_not_take(capsys, tmp_path, case, value):
+    """k is 1 for OneCycle and null otherwise, so a file with any other k
+    does not read, however its number is written."""
+    data = json.loads(synthesize_contact(SeaweedSpec.parse(_CASE_SPECS[case])).to_json())
+    data["k"] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    want = '"1"' if case == "OneCycle" else "null"
+    assert err == (
+        f"seaweed: cannot read certificate: field 'k' must be {want} for a {case} "
+        f"certificate, not {json.dumps(value)}\n"
+    )
+
+
+@pytest.mark.parametrize("field", ["spec", "case", "basis", "dual_matrix", "k", "det"])
+@pytest.mark.parametrize("case", ["TwoPaths", "OneCycle"])
+def test_verify_names_a_missing_field(capsys, tmp_path, case, field):
+    data = json.loads(synthesize_contact(SeaweedSpec.parse(_CASE_SPECS[case])).to_json())
+    del data[field]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"seaweed: cannot read certificate: missing field {field!r}\n"
 
 
 def test_verify_explains_an_over_limit_certificate(capsys, tmp_path):

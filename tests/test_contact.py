@@ -22,7 +22,6 @@ from seaweed.contact import (
     ContactCertificate,
     NotIndexOneError,
     OneForm,
-    SynthesisError,
     TheoremViolationError,
     WrongCaseError,
     case1_contact,
@@ -417,9 +416,8 @@ def test_synthesis_computes_one_bordered_determinant(monkeypatch, text):
 @pytest.mark.parametrize("text", ["1|4 / 3|1|1", "2|6 / 8", "2 / 2"])
 def test_a_zero_determinant_violates_the_theorem(monkeypatch, text):
     monkeypatch.setattr(seaweed.contact, "bhat_det", lambda L, form: Fraction(0))
-    with pytest.raises(TheoremViolationError) as err:
+    with pytest.raises(TheoremViolationError):
         synthesize_contact(spec(text))
-    assert isinstance(err.value, SynthesisError)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +755,13 @@ def test_certificate_json_shape():
     assert {"unit": [8, 3]} in data["basis"]
 
 
+def test_k_follows_from_the_case():
+    # case2_contact proves k = 1 suffices, so k is no stored field
+    assert "k" not in {f.name for f in dataclasses.fields(ContactCertificate)}
+    for text, k in (("1|4 / 3|1|1", None), ("2|6 / 8", 1), ("2 / 2", None)):
+        assert synthesize_contact(spec(text)).k == k
+
+
 def test_fraction_reader_refuses_a_huge_exponent_fast():
     # Fraction("1e10000000") would build 10^(10^7) before any round-trip check
     # could refuse it; the reader's regex refuses the spelling first.
@@ -774,7 +779,7 @@ def test_certificate_json_missing_field():
     cert = synthesize_contact(spec("2 / 2"))
     data = json.loads(cert.to_json())
     del data["det"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^missing field 'det'$"):
         ContactCertificate.from_json(json.dumps(data))
 
 
@@ -910,10 +915,10 @@ def _certificates(draw):
     pos = st.tuples(st.integers(1, n), st.integers(1, n))
     return ContactCertificate(
         spec=sp,
-        case=draw(_odd_text),
+        # k follows from the case: "1" for OneCycle, null otherwise
+        case=draw(st.sampled_from(["TwoPaths", "OneCycle", "SL2"]) | _odd_text),
         basis=tuple(draw(st.lists(label, max_size=6))),
         form=OneForm.from_terms(n, draw(st.dictionaries(pos, _fractions, max_size=4))),
-        k=draw(st.none() | _fractions),
         det_value=draw(_fractions),
         auxiliary=draw(st.dictionaries(_odd_text, _json_values, max_size=4)),
     )

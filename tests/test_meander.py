@@ -68,8 +68,8 @@ def test_meander_rejects_reused_vertex():
 
 
 def _per_edge_check(n, side):
-    """The per-edge validation loop Meander ran on every side before its
-    one-set check; kept here as the reference."""
+    """The per-edge validation loop, with a set of touched vertices, as the
+    reference that ``Arcs`` must match, messages included."""
     touched = set()
     for (u, v) in side:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:

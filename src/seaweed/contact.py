@@ -4,11 +4,13 @@ An index-one seaweed's meander is exactly two paths or exactly one cycle, and
 each shape has its own construction. Two paths: perturb the regular form (one
 dual unit per directed meander edge) by a partial-sum diagonal functional,
 chosen so the distinguished diagonal element H is not annihilated. One cycle:
-delete the outermost arc of an end block of size >= 4, which splits the
-algebra into a Frobenius seaweed plus a Heisenberg subalgebra, then add the
-dual of the Heisenberg center with weight k = 1. Neither construction
-searches: each computes one bordered determinant, which its proof shows is
-nonzero (see ``case1_contact`` and ``case2_contact``).
+the regular form itself. Its proof deletes the outermost arc of an end block
+of size >= 4, which splits the algebra into a Frobenius seaweed plus a
+Heisenberg subalgebra; that arc's edge is the Heisenberg center, so the form
+is the Frobenius part's regular form plus the center's dual with weight
+k = 1. Neither construction searches: each computes one bordered
+determinant, which its proof shows is nonzero (see ``case1_contact`` and
+``case2_contact``).
 
 Every certificate is self-contained: spec, basis, dual matrix and determinant
 are enough for an independent re-verification, so nothing here needs to be
@@ -154,9 +156,6 @@ class OneForm:
             raise ValueError("size mismatch")
         return OneForm.from_terms(self.n, list(self.entries) + list(other.entries))
 
-    def scale(self, c: Fraction | int) -> "OneForm":
-        return OneForm.from_terms(self.n, [(pos, Fraction(c) * v) for pos, v in self.entries])
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"
@@ -219,12 +218,12 @@ class ContactCertificate:
     def from_json(cls, text: str) -> "ContactCertificate":
         """Read what ``to_json`` writes, so a certificate that reads writes
         back its own bytes. It raises ValueError on anything else: JSON too
-        deep to read, a missing field other than ``auxiliary``, a key
-        repeated in any object, a field of another JSON type, a case, key,
-        fraction or zero entry that ``to_json`` never writes, a k other than
-        the case's ("1" for OneCycle, null otherwise), and, before any label
-        or entry is parsed, an over-limit certificate (``_over_limit_reasons``
-        of the raw counts)."""
+        deep to read, a missing field, a key repeated in any object, a field
+        of another JSON type, a case, key, fraction or zero entry that
+        ``to_json`` never writes, a k other than the case's ("1" for
+        OneCycle, null otherwise), and, before any label or entry is parsed,
+        an over-limit certificate (``_over_limit_reasons`` of the raw
+        counts)."""
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
@@ -261,7 +260,7 @@ class ContactCertificate:
             # refuses a zero or out-of-range entry
             form=OneForm(spec.n, tuple(sorted(terms))),
             det_value=fraction_from_json(_json_field(data, "det", str), "field 'det'"),
-            auxiliary=_json_field(data, "auxiliary", dict) if "auxiliary" in data else {},
+            auxiliary=_json_field(data, "auxiliary", dict),
         )
 
 
@@ -479,40 +478,41 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
 
 
 def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
-    """Contact form for a single-cycle meander.
+    """Contact form for a single-cycle meander: the regular form of g itself.
 
-    For n = 2 the seaweed is sl(2) up to center and its regular form
-    e(1,2)* + e(2,1)* works outright. Otherwise some end part of the top or
-    bottom composition has size >= 4; deleting its outermost arc turns the
-    block 's' into 1|s-2|1 and the resulting seaweed g' is Frobenius. The
-    deleted directions span a Heisenberg subalgebra whose center c is the
-    deleted arc's own matrix position. The form is phi' + k c*, with phi'
-    the regular form of g' and the center weight k = 1.
+    For n = 2 the seaweed is sl(2) up to center, and its regular form is
+    e(1,2)* + e(2,1)*. Otherwise some end block p..q of the top or bottom
+    composition has size >= 4; cutting it to 1|q-p-1|1 deletes its outermost
+    arc and leaves a Frobenius seaweed g'. The deleted directions span a
+    Heisenberg subalgebra whose center c is the cut arc's own directed edge:
+    q -> p, the unit (q, p), for a top block and p -> q, (p, q), for a
+    bottom block. g's meander is g''s plus that arc, so the regular form of
+    g is phi' + c*, with phi' the regular form of g': the center weight is
+    k = 1. g', the Heisenberg units and c are recorded in ``auxiliary``.
 
-    No other k can succeed where k = 1 fails. g' is Frobenius, so its
-    meander is a single path, and there is a diagonal t with t_i / t_j = a
-    on every directed edge i -> j of that path. The cut arc is outermost on
-    its side, so a counterclockwise walk of g's cycle runs it forward. A
-    forward arc turns the walk's tangent by +pi and a backward arc by -pi,
-    and the total turn is 2 pi, so the rest of the cycle has one more
-    forward arc than backward arcs. Therefore Ad(t) sends phi' + k c* to
-    a (phi' + k a^-2 c*), and it acts on Bhat as a congruence. So
-    f(k) = det Bhat(phi' + k c*) satisfies f(a^-2 k) = rho(a) f(k) for every
-    a, which leaves f = c k^m: if f(1) = 0, then f is 0 for every k.
+    The paper shows phi' + k c* is contact for some k, and then k = 1 is
+    too. g' is Frobenius, so its meander is a single path, and there is a
+    diagonal t with t_i / t_j = a on every directed edge i -> j of that
+    path. The cut arc is outermost on its side, so a counterclockwise walk
+    of g's cycle runs it forward. A forward arc turns the walk's tangent by
+    +pi and a backward arc by -pi, and the total turn is 2 pi, so the rest
+    of the cycle has one more forward arc than backward arcs. Therefore
+    Ad(t) sends phi' + k c* to a (phi' + k a^-2 c*), and it acts on Bhat as
+    a congruence. So f(k) = det Bhat(phi' + k c*) satisfies
+    f(a^-2 k) = rho(a) f(k) for every a, which leaves f = c k^m: if f(1) = 0,
+    then f is 0 for every k.
     """
     meander = build_meander(spec)
     C, P = counts(meander)
     if C != 1 or P != 0:
         raise WrongCaseError(f"{spec.text()}: {C} cycles + {P} paths, need exactly one cycle")
-    n = spec.n
     checked = check_basis(spec)
     basis = checked.labels
-
-    if n == 2:
-        form = _regular_form(meander)
-        dval = bhat_det(checked, form.as_dict())
-        if dval == 0:
-            raise TheoremViolationError("e(1,2)* + e(2,1)* failed on 2 / 2")
+    form = _regular_form(meander)
+    dval = bhat_det(checked, form.as_dict())
+    if dval == 0:
+        raise TheoremViolationError(f"the determinant of the regular form of {spec.text()} is 0")
+    if spec.n == 2:
         return ContactCertificate(spec=spec, case="SL2", basis=basis, form=form, det_value=dval)
 
     # the first end block of size >= 4: top first, then bottom, each side's
@@ -531,6 +531,10 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     p, q = comp.blocks()[b]
     cut = Composition(comp.parts[:b] + (1, q - p - 1, 1) + comp.parts[b + 1 :])
     gprime = SeaweedSpec(cut, spec.bottom) if side == "top" else SeaweedSpec(spec.top, cut)
+    if index_from_counts(*counts(build_meander(gprime))) != 0:
+        raise TheoremViolationError(
+            f"residual seaweed {gprime.text()} of {spec.text()} is not Frobenius"
+        )
     # the removed arc's Heisenberg generators, then its center, as units of
     # a top block; a bottom block holds their transposes
     heisenberg = [(i, p) for i in range(p + 1, q + 1)] + [(q, j) for j in range(p + 1, q)]
@@ -538,16 +542,6 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     if side == "bottom":
         heisenberg = [(j, i) for i, j in heisenberg]
     *gens, center = heisenberg
-    mprime = build_meander(gprime)
-    if index_from_counts(*counts(mprime)) != 0:
-        raise TheoremViolationError(
-            f"residual seaweed {gprime.text()} of {spec.text()} is not Frobenius"
-        )
-
-    form = _regular_form(mprime).plus(OneForm.from_terms(n, [(center, Fraction(1))]))
-    dval = bhat_det(checked, form.as_dict())
-    if dval == 0:
-        raise TheoremViolationError(f"the determinant at center weight 1 of {spec.text()} is 0")
     aux = {
         "removed_edge": [p, q],
         "side": side,

@@ -343,7 +343,7 @@ def test_verify_refuses_a_k_the_case_does_not_take(capsys, tmp_path, case, value
     )
 
 
-@pytest.mark.parametrize("field", ["spec", "case", "basis", "dual_matrix", "k", "det"])
+@pytest.mark.parametrize("field", ["spec", "case", "basis", "dual_matrix", "k", "det", "auxiliary"])
 @pytest.mark.parametrize("case", ["TwoPaths", "OneCycle"])
 def test_verify_names_a_missing_field(capsys, tmp_path, case, field):
     data = json.loads(synthesize_contact(SeaweedSpec.parse(_CASE_SPECS[case])).to_json())

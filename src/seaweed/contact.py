@@ -14,8 +14,12 @@ determinant, which its proof shows is nonzero (see ``case1_contact`` and
 
 Every certificate is self-contained: spec, basis, dual matrix and determinant
 are enough for an independent re-verification, so nothing here needs to be
-trusted. This is the one module that knows the certificate's format: its
-JSON, labels and fractions included, and its size limits.
+trusted. Verification computes one Pfaffian too: the bordered one for one
+cycle, and for two paths the minor C' of B_phi without H's row and column,
+from which the bordered determinant follows whenever that row and column
+are zero, as they are on every certificate synthesis writes. This is the
+one module that knows the certificate's format: its JSON, labels and
+fractions included, and its size limits.
 """
 from __future__ import annotations
 
@@ -177,7 +181,8 @@ class ContactCertificate:
 
     ``case`` is "TwoPaths", "OneCycle" or "SL2"; ``auxiliary`` records
     case-specific construction data (H and the diagonal index, or the removed
-    edge and Heisenberg generators) purely for inspection.
+    edge and Heisenberg generators) for inspection. Verification checks
+    TwoPaths' H, phi_H and det_c_prime; the other fields are not checked.
     """
 
     spec: SeaweedSpec
@@ -198,8 +203,8 @@ class ContactCertificate:
         ``json.dumps(data, indent=2)`` writes for the object with the fields
         below. The layout is fixed, so it is written directly; a unit's or
         h(i)'s text comes from ``_label_text``'s bounded cache."""
-        basis = ",\n    ".join(map(_label_text, self.basis))
-        duals = ",\n    ".join(f'"{i},{j}": "{c}"' for (i, j), c in self.form.entries)
+        basis = list(map(_label_text, self.basis))
+        duals = [f'"{i},{j}": "{c}"' for (i, j), c in self.form.entries]
         k = "null" if self.k is None else f'"{self.k}"'
         auxiliary = json.dumps(self.auxiliary, indent=2).replace("\n", "\n  ")
         return (
@@ -264,10 +269,13 @@ class ContactCertificate:
         )
 
 
-def _json_items(open_: str, items: str, close: str) -> str:
-    """A JSON array or object at depth 1 of ``to_json``'s indent-2 layout,
-    from its items already joined at depth 2."""
-    return f"{open_}\n    {items}\n  {close}" if items else open_ + close
+def _json_items(open_: str, items: Sequence[str], close: str, depth: int = 1) -> str:
+    """A JSON array or object at ``depth`` of ``to_json``'s indent-2 layout,
+    from the texts of its items, each already laid out at ``depth`` + 1."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * depth
+    return f"{open_}{pad}  " + f",{pad}  ".join(items) + f"{pad}{close}"
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -281,13 +289,20 @@ def _label_text(label: BasisLabel) -> str:
     h(i) come from a cache bounded at 4,096 labels, which holds every one
     with indices up to 64. It is keyed on the label's ints and their exact
     types, so a bool, which equals an int but is written true or false, gets
-    its own text. A custom diagonal is written each time."""
+    its own text. A custom diagonal is written each time, from its fixed
+    layout: the name through ``json.dumps``, each entry as its ``str``."""
     kind = type(label)
     if kind is MatrixUnit:
         return _simple_label_text(kind, label.i, label.j)
     if kind is DiagDiff:
         return _simple_label_text(kind, label.i)
-    return json.dumps(label_to_json(label), indent=2).replace("\n", "\n    ")
+    entries = _json_items("[", [f'"{x}"' for x in label.entries], "]", depth=4)
+    return (
+        '{\n      "diag": {\n'
+        f'        "name": {json.dumps(label.name)},\n'
+        f'        "entries": {entries}\n'
+        "      }\n    }"
+    )
 
 
 # a dual-matrix key as ``to_json`` writes it: two positive ASCII decimal ints
@@ -403,11 +418,6 @@ def _regular_form(m: Meander) -> OneForm:
     return OneForm.from_terms(m.n, [(e, Fraction(1)) for e in orient(m).edges()])
 
 
-def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
-    """The square matrix without its row and column h."""
-    return [row[:h] + row[h + 1 :] for r, row in enumerate(rows) if r != h]
-
-
 def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     """Contact form for a two-path meander.
 
@@ -424,9 +434,15 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     a and b would share a top block and a bottom block, so (i, i+1) and
     (i+1, i) would be admissible too. The functional pairs only with
     [e(a,b), e(b,a)] = e(a,a) - e(b,b) for such a pair, so it adds nothing
-    to B_phi, which stays the regular form's. The kernel guard checks that
-    H's row and column of that B_phi are zero, so det Bhat = phi(H)^2 det C',
-    where C' is the guard's nonzero minor.
+    to B_phi, which stays the regular form's. The kernel guard reads H's
+    column of that B_phi from the dual matrix, with no evaluation:
+    [e(a,c), H] = (H_c - H_a) e(a,c), so the column holds (H_c - H_a) W_ac
+    for each unit (a, c), and it is zero because every meander edge joins
+    two vertices of one path. B_phi is skew, so H's row is zero too, and
+    expanding the bordered matrix along them gives det Bhat = phi(H)^2 det C',
+    with C' the Kirillov matrix minus H's row and column. So the one
+    bordered determinant, once nonzero, proves det C' != 0 as well, that is
+    ker B_phi = span(H).
     """
     meander = build_meander(spec)
     rep = components(meander)
@@ -445,15 +461,6 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     )
     checked = check_basis(spec, basis)
 
-    fbar = _regular_form(meander)
-    # ker B_phi = span(H) iff H's column (hence row: B_phi is skew) is 0 and det C' != 0
-    h = basis.index(H)
-    _, sB, _ = checked.scaled_form(fbar.as_dict())
-    if any(row[h] for row in sB) or _kernels.det_int(_drop(sB, h)) == 0:
-        raise TheoremViolationError(
-            f"regular form of {spec.text()} does not kill exactly the H line"
-        )
-
     # the checked basis holds every admissible unit
     units = checked.units
     gaps = [i for i in range(1, n) if (i, i + 1) not in units or (i + 1, i) not in units]
@@ -461,10 +468,18 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     if i is None:
         raise TheoremViolationError(f"{spec.text()} has no admissibility gap with phi(H) != 0")
     phi_H = sum(hvals[:i])
+    fbar = _regular_form(meander)
     form = fbar.plus(OneForm.from_terms(n, [((k, k), Fraction(1)) for k in range(1, i + 1)]))
-    dval = bhat_det(checked, form.as_dict())
-    if dval == 0:
-        raise TheoremViolationError(f"the determinant at gap {i} of {spec.text()} is 0")
+    # the kernel guard: H's column of B_phi, (H_c - H_a) W_ac at each unit
+    # (a, c), is 0, and then det Bhat = phi(H)^2 det C' (see above)
+    if (
+        any(hvals[a - 1] != hvals[c - 1] for (a, c), _ in fbar.entries if (a, c) in units)
+        or (dval := bhat_det(checked, form.as_dict())) == 0
+    ):
+        raise TheoremViolationError(
+            f"regular form of {spec.text()} does not kill exactly the H line: "
+            f"H's column of B_phi is not 0, or the determinant at gap {i} is 0"
+        )
     aux = {
         "H": [str(x) for x in hvals],
         "diag_index": i,
@@ -587,6 +602,46 @@ def _over_limit_reasons(spec: SeaweedSpec, labels: int, entries: int) -> Iterato
         )
 
 
+def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
+    """The square matrix without its row and column h."""
+    return [row[:h] + row[h + 1 :] for r, row in enumerate(rows) if r != h]
+
+
+def _two_paths_det(
+    cert: ContactCertificate, sphi: list[int], sB: list[list[int]], s: int
+) -> Fraction | None:
+    """A TwoPaths certificate's bordered determinant from its integer
+    evaluation (s*phi, s*B_phi, s), or None when the certificate fails a
+    check of its own: one custom diagonal H, det = phi(H)^2 det C', and
+    ``auxiliary``'s H, phi_H and det_c_prime equal to the basis's H,
+    phi(H) and det C'.
+
+    det(s C') is the one Pfaffian when H's row and column of s B_phi are
+    zero: expanding the bordered matrix along them leaves only the border
+    entries s phi(H), so its determinant is (s phi(H))^2 det(s C') exactly.
+    Otherwise the full bordered determinant is computed too, and it must
+    equal that product. Both branches are exact, so they give one verdict.
+    """
+    hpos = [i for i, b in enumerate(cert.basis) if isinstance(b, CustomDiagonal)]
+    if len(hpos) != 1:
+        return None
+    h = hpos[0]
+    d = len(sphi)
+    minor = _kernels.det_int(_drop(sB, h))  # s^(d-1) det C'
+    # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
+    dval = Fraction(sphi[h] ** 2 * minor, s ** (d + 1))
+    if (any(sB[h]) or any(row[h] for row in sB)) and _bordered_det(sphi, sB, s) != dval:
+        return None
+    aux = cert.auxiliary
+    if (
+        aux.get("H") != [str(x) for x in cert.basis[h].entries]
+        or aux.get("phi_H") != str(Fraction(sphi[h], s))
+        or aux.get("det_c_prime") != str(Fraction(minor, s ** (d - 1)))
+    ):
+        return None
+    return dval
+
+
 def verify_certificate(cert: ContactCertificate) -> bool:
     """Re-derive the determinant from the certificate's own data.
 
@@ -598,12 +653,18 @@ def verify_certificate(cert: ContactCertificate) -> bool:
     is evaluated by trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the
     gl(n) bracket rules, with no structure table. The bordered determinant
     of that one evaluation must be nonzero and equal the stored value.
-    TwoPaths certificates additionally must satisfy the factorization
-    det = (phi(H))^2 * det phi(C') with C' the Kirillov matrix minus H's row
-    and column. Small algebras (dim <= 11) are cross-checked against the
-    exterior-algebra volume coefficient, which determines the determinant up
-    to the square relation (k!)^2 det = wedge^2. Any mismatch or malformed
-    field returns False rather than raising.
+
+    For one cycle that determinant is computed directly. For two paths it
+    must also factor as (phi(H))^2 * det phi(C'), with C' the Kirillov
+    matrix minus H's row and column, and ``auxiliary`` must state H, phi(H)
+    and det C' truly (``_two_paths_det``). det C' is computed once; when
+    H's row and column are zero the bordered determinant is that product,
+    and otherwise it is computed as well and must equal it.
+
+    Small algebras (dim <= 11) are cross-checked against the
+    exterior-algebra volume coefficient, which determines the determinant
+    up to the square relation (k!)^2 det = wedge^2. Any mismatch or
+    malformed field returns False rather than raising.
     """
     try:
         if any(_over_limit_reasons(cert.spec, len(cert.basis), len(cert.form.entries))):
@@ -616,18 +677,12 @@ def verify_certificate(cert: ContactCertificate) -> bool:
         # wedge; in an even dimension the bordered matrix is odd-sized skew,
         # so det is 0
         sphi, sB, s = checked.scaled_form(cert.form.as_dict())
-        dval = _bordered_det(sphi, sB, s)
-        if dval == 0 or dval != cert.det_value:
-            return False
         if cert.case == "TwoPaths":
-            hpos = [i for i, b in enumerate(cert.basis) if isinstance(b, CustomDiagonal)]
-            if len(hpos) != 1:
-                return False
-            h = hpos[0]
-            # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
-            minor = _kernels.det_int(_drop(sB, h))
-            if Fraction(sphi[h] ** 2 * minor, s ** (checked.dim + 1)) != dval:
-                return False
+            dval = _two_paths_det(cert, sphi, sB, s)
+        else:
+            dval = _bordered_det(sphi, sB, s)
+        if not dval or dval != cert.det_value:  # None: a TwoPaths check failed
+            return False
         if checked.dim <= 11:
             wedge = _wedge_coefficient(sphi, sB, s)
             if not squared_identity_holds(checked.dim, dval, wedge):

@@ -259,6 +259,17 @@ def test_verify_rejects_corrupted_file(capsys, tmp_path):
     assert rc == 1 and "FAILED" in err
 
 
+def test_verify_rejects_a_false_auxiliary_fact(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "contact", "1|4 / 3|1|1", "--out", str(path))
+    data = json.loads(path.read_text())
+    assert data["auxiliary"]["phi_H"] == "2"
+    data["auxiliary"]["phi_H"] = "999"
+    path.write_text(json.dumps(data, indent=2))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 1 and out == "" and "FAILED" in err
+
+
 def test_verify_unreadable_inputs(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2 and "cannot read certificate" in err

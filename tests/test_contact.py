@@ -38,6 +38,7 @@ from seaweed.standard_form import (
     CustomDiagonal,
     DiagDiff,
     MatrixUnit,
+    SeaweedBasis,
     SeaweedSpec,
     check_basis,
     compositions,
@@ -445,6 +446,27 @@ def test_a_zero_determinant_violates_the_theorem(monkeypatch, text):
         synthesize_contact(spec(text))
 
 
+@pytest.mark.parametrize("text", ["1|3|3 / 7", "1|4 / 3|1|1", "2|6 / 8", "2 / 2"])
+def test_a_round_trip_computes_one_pfaffian_each_way(monkeypatch, text):
+    # synthesis's one is bhat_det's, with no kernel-guard minor and no second
+    # evaluation; a TwoPaths verification takes the bordered determinant
+    # from its det C', a one-cycle one computes it
+    pfaffians, evaluations = [], []
+    pfaffian, evaluate = _kernels.pure._sparse_pfaffian, SeaweedBasis.scaled_form
+    monkeypatch.setattr(
+        _kernels.pure, "_sparse_pfaffian", lambda live: pfaffians.append(1) or pfaffian(live)
+    )
+    monkeypatch.setattr(
+        SeaweedBasis, "scaled_form", lambda self, w: evaluations.append(1) or evaluate(self, w)
+    )
+    cert = synthesize_contact(spec(text))
+    assert (len(pfaffians), len(evaluations)) == (1, 1)
+    pfaffians.clear()
+    evaluations.clear()
+    assert verify_certificate(cert)
+    assert (len(pfaffians), len(evaluations)) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -516,7 +538,8 @@ def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
     # Relabel each one-cycle certificate's h(1) as the same diagonal written
     # as a custom H and call it TwoPaths: algebra and determinant are
     # unchanged, so only the case check (a one-cycle meander calls for
-    # OneCycle or SL2) and det = phi(H)^2 det C' can reject it.
+    # OneCycle or SL2), det = phi(H)^2 det C' and the TwoPaths facts in
+    # ``auxiliary`` can reject it.
     forged = []
     for n in range(2, 7):
         for sp in spec_pairs(n):
@@ -533,10 +556,12 @@ def test_verify_rejects_two_paths_claim_that_fails_the_factorization():
         assert not verify_certificate(cert), cert.spec.text()
 
 
-def test_verify_rejects_a_two_paths_certificate_whose_h_is_sheared():
-    # H -> H + h(i) with phi(h(i)) != 0 is a unimodular change of basis: the
-    # bordered determinant and the wedge stay, and so do the case and C',
-    # but phi(H) moves, so only det = phi(H)^2 det C' can reject it
+def _sheared_two_paths_certificates():
+    """Every TwoPaths certificate with n <= 6 whose form sees some h(i), with
+    H -> H + h(i) for the first such i and ``auxiliary``'s H and phi_H
+    restamped to the new H. That is a unimodular change of basis: the
+    bordered determinant and the wedge stay, and so do the case and C', but
+    phi(H) moves, so only det = phi(H)^2 det C' can reject the certificate."""
     sheared = []
     for n in range(2, 7):
         for sp in spec_pairs(n):
@@ -555,10 +580,55 @@ def test_verify_rejects_a_two_paths_certificate_whose_h_is_sheared():
             entries[i - 1] += 1
             entries[i] -= 1
             basis = cert.basis[:h] + (CustomDiagonal(H.name, tuple(entries)),) + cert.basis[h + 1:]
-            sheared.append(dataclasses.replace(cert, basis=basis))
+            phi_H = sum(w.get((k, k), 0) * x for k, x in enumerate(entries, 1))
+            aux = {**cert.auxiliary, "H": [str(x) for x in entries], "phi_H": str(phi_H)}
+            sheared.append(dataclasses.replace(cert, basis=basis, auxiliary=aux))
     assert len(sheared) == 84
-    for cert in sheared:
+    return sheared
+
+
+def test_verify_rejects_a_two_paths_certificate_whose_h_is_sheared():
+    for cert in _sheared_two_paths_certificates():
         assert not verify_certificate(cert), cert.spec.text()
+
+
+def test_verify_takes_the_full_bordered_determinant_only_off_the_h_line(monkeypatch):
+    calls = []
+    full = seaweed.contact._bordered_det
+    monkeypatch.setattr(
+        seaweed.contact, "_bordered_det", lambda *args: calls.append(1) or full(*args)
+    )
+    # e(1,4)* joins the two paths, so H's column of B_phi is not 0, yet the
+    # determinant stays 81 and still factors
+    cert = synthesize_contact(spec("1|3|3 / 7"))
+    joined = cert.form.plus(OneForm.from_terms(7, {(1, 4): Fraction(1)}))
+    assert verify_certificate(dataclasses.replace(cert, form=joined, det_value=Fraction(81)))
+    assert len(calls) == 1
+    for sheared in _sheared_two_paths_certificates():
+        calls.clear()
+        assert not verify_certificate(sheared), sheared.spec.text()
+        assert len(calls) == 1, sheared.spec.text()
+    written = 0
+    for n in range(2, 7):
+        for sp in spec_pairs(n):
+            if counts(build_meander(sp)) == (0, 2):
+                calls.clear()
+                assert verify_certificate(case1_contact(sp)) and calls == [], sp.text()
+                written += 1
+    assert written == 383
+
+
+def test_verify_checks_the_two_paths_auxiliary_facts():
+    cert = synthesize_contact(spec("1|4 / 3|1|1"))
+    assert verify_certificate(cert)
+    assert (cert.auxiliary["phi_H"], cert.auxiliary["det_c_prime"]) == ("2", "4")
+    edits = {"H": ["1", "-1", "0", "0", "0"], "phi_H": "999", "det_c_prime": "-5"}
+    for key, value in edits.items():
+        forged = dataclasses.replace(cert, auxiliary={**cert.auxiliary, key: value})
+        assert not verify_certificate(forged), key
+    # a one-cycle certificate's auxiliary, and none at all
+    for foreign in (synthesize_contact(spec("2|6 / 8")).auxiliary, {}):
+        assert not verify_certificate(dataclasses.replace(cert, auxiliary=foreign))
 
 
 def test_verify_rejects_a_case_the_meander_does_not_call_for():
@@ -612,9 +682,11 @@ def _gauss_det(rows):
 
 
 def _reference(cert):
-    """(bordered det, factors) from matrices built here: phi(M) = sum W_ij
-    M_ij on the certificate's basis, the determinant by Fraction elimination,
-    and whether det = phi(H)^2 det C' holds (always True but for TwoPaths)."""
+    """(bordered det, factors, facts) from matrices built here: phi(M) =
+    sum W_ij M_ij on the certificate's basis, the determinant by Fraction
+    elimination, whether det = phi(H)^2 det C' holds (always True but for
+    TwoPaths), and the ``auxiliary`` values phi_H and det_c_prime that hold
+    of it ({} but for TwoPaths)."""
     n = cert.spec.n
     w = cert.form.as_dict()
     mats = [_label_matrix(b, n) for b in cert.basis]
@@ -626,35 +698,42 @@ def _reference(cert):
     B = [[phi(_bracket(x, y)) for y in mats] for x in mats]
     ref = _gauss_det([[0, *vals]] + [[-v, *row] for v, row in zip(vals, B)])
     if cert.case != "TwoPaths":
-        return ref, True
+        return ref, True, {}
     (h,) = [k for k, b in enumerate(cert.basis) if isinstance(b, CustomDiagonal)]
-    minor = [row[:h] + row[h + 1 :] for k, row in enumerate(B) if k != h]
-    return ref, vals[h] ** 2 * _gauss_det(minor) == ref
+    det_c = _gauss_det([row[:h] + row[h + 1 :] for k, row in enumerate(B) if k != h])
+    facts = {"phi_H": str(vals[h]), "det_c_prime": str(det_c)}
+    return ref, vals[h] ** 2 * det_c == ref, facts
 
 
 def test_verify_matches_a_reference_on_every_single_entry_mutation():
     # Every index-one spec with n <= 5. A stored det off by one is rejected.
     # A form with one dual-matrix entry raised by 1 passes exactly when the
     # reference determinant is nonzero, is the stored one and, for TwoPaths,
-    # still factors; with the stored det replaced by the reference's, the
-    # same form passes exactly when that det is nonzero and factors.
+    # still factors and keeps the stored phi_H and det_c_prime true; with the
+    # stored det and those two values replaced by the reference's, the same
+    # form passes exactly when that det is nonzero and factors.
     mutations = 0
     for n in range(1, 6):
         for sp in spec_pairs(n):
             if meander_index(sp) != 1:
                 continue
             cert = synthesize_contact(sp)
-            assert _reference(cert) == (cert.det_value, True), sp.text()
+            ref, factors, facts = _reference(cert)
+            assert (ref, factors) == (cert.det_value, True), sp.text()
+            assert facts.items() <= cert.auxiliary.items(), sp.text()
             for delta in (1, -1):
                 off = dataclasses.replace(cert, det_value=cert.det_value + delta)
                 assert not verify_certificate(off), sp.text()
             for pos, _ in cert.form.entries:
                 form = cert.form.plus(OneForm.from_terms(n, {pos: Fraction(1)}))
                 mutated = dataclasses.replace(cert, form=form)
-                ref, factors = _reference(mutated)
-                expected = ref != 0 and ref == cert.det_value and factors
+                ref, factors, facts = _reference(mutated)
+                stated = facts.items() <= cert.auxiliary.items()
+                expected = ref != 0 and ref == cert.det_value and factors and stated
                 assert verify_certificate(mutated) is expected, (sp.text(), pos)
-                restamped = dataclasses.replace(mutated, det_value=ref)
+                restamped = dataclasses.replace(
+                    mutated, det_value=ref, auxiliary={**cert.auxiliary, **facts}
+                )
                 expected = ref != 0 and factors
                 assert verify_certificate(restamped) is expected, (sp.text(), pos)
                 mutations += 1

@@ -39,7 +39,7 @@ from .liealg import (
     bhat_det,
     squared_identity_holds,
 )
-from .meander import Meander, build_meander, components, counts, index_from_counts, orient
+from .meander import Meander, build_meander, components, counts, index, index_from_counts, orient
 from .standard_form import (
     BasisLabel,
     Composition,
@@ -47,6 +47,7 @@ from .standard_form import (
     DiagDiff,
     MatrixUnit,
     SeaweedSpec,
+    admissible,
     check_basis,
     seaweed_dim,
     standard_basis,
@@ -182,7 +183,8 @@ class ContactCertificate:
     ``case`` is "TwoPaths", "OneCycle" or "SL2"; ``auxiliary`` records
     case-specific construction data (H and the diagonal index, or the removed
     edge and Heisenberg generators) for inspection. Verification checks
-    TwoPaths' H, phi_H and det_c_prime; the other fields are not checked.
+    TwoPaths' H, phi_H and det_c_prime and that SL2's is {}; the other
+    fields are not checked.
     """
 
     spec: SeaweedSpec
@@ -223,17 +225,20 @@ class ContactCertificate:
     def from_json(cls, text: str) -> "ContactCertificate":
         """Read what ``to_json`` writes, so a certificate that reads writes
         back its own bytes. It raises ValueError on anything else: JSON too
-        deep to read, a missing field, a key repeated in any object, a field
-        of another JSON type, a case, key, fraction or zero entry that
-        ``to_json`` never writes, a k other than the case's ("1" for
-        OneCycle, null otherwise), and, before any label or entry is parsed,
-        an over-limit certificate (``_over_limit_reasons`` of the raw
-        counts)."""
+        deep to read, a missing or unknown field, a key repeated in any
+        object, a field of another JSON type, a case, key, diag-label key,
+        fraction or zero entry that ``to_json`` never writes, a k other than
+        the case's ("1" for OneCycle, null otherwise), and, before any label
+        or entry is parsed, an over-limit certificate
+        (``_over_limit_reasons`` of the raw counts)."""
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("the JSON nests too deeply to read") from None
         _check_json_type("certificate", data, dict)
+        fields = ("spec", "case", "basis", "dual_matrix", "k", "det", "auxiliary")
+        if unknown := [key for key in data if key not in fields]:
+            raise ValueError(f"unknown field {unknown[0]!r}")
         spec = SeaweedSpec.parse(_json_field(data, "spec", str))
         labels = _json_field(data, "basis", list)
         duals = _json_field(data, "dual_matrix", dict)
@@ -346,9 +351,10 @@ def label_to_json(label: BasisLabel) -> dict:
 
 def label_from_json(data: dict) -> BasisLabel:
     """The label of ``label_to_json``'s object. An object without exactly one
-    key, or a field of another JSON type, raises ``ValueError``; the int
-    checks are on the exact type, so a bool is no int, and a custom
-    diagonal's entries must be fractions as ``str(Fraction)`` writes them."""
+    key, a diag without exactly a name and entries, or a field of another
+    JSON type, raises ``ValueError``; the int checks are on the exact type,
+    so a bool is no int, and a custom diagonal's entries must be fractions
+    as ``str(Fraction)`` writes them."""
     if not isinstance(data, dict):
         raise ValueError(f"a basis label must be a JSON object, not {type(data).__name__}")
     if len(data) != 1:
@@ -367,7 +373,8 @@ def label_from_json(data: dict) -> BasisLabel:
         diag = data["diag"] if isinstance(data["diag"], dict) else {}
         name, entries = diag.get("name"), diag.get("entries")
         if not (
-            isinstance(name, str)
+            len(diag) == 2
+            and isinstance(name, str)
             and isinstance(entries, list)
             and all(isinstance(x, str) for x in entries)
         ):
@@ -437,11 +444,12 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     to B_phi, which stays the regular form's. The kernel guard reads H's
     column of that B_phi from the dual matrix, with no evaluation:
     [e(a,c), H] = (H_c - H_a) e(a,c), so the column holds (H_c - H_a) W_ac
-    for each unit (a, c), and it is zero because every meander edge joins
-    two vertices of one path. B_phi is skew, so H's row is zero too, and
-    expanding the bordered matrix along them gives det Bhat = phi(H)^2 det C',
-    with C' the Kirillov matrix minus H's row and column. So the one
-    bordered determinant, once nonzero, proves det C' != 0 as well, that is
+    for each entry (a, c), an oriented meander edge and so an admissible
+    unit, and it is zero because every meander edge joins two vertices of
+    one path. B_phi is skew, so H's row is zero too, and expanding the
+    bordered matrix along them gives det Bhat = phi(H)^2 det C', with C' the
+    Kirillov matrix minus H's row and column. So the one bordered
+    determinant, once nonzero, proves det C' != 0 as well, that is
     ker B_phi = span(H).
     """
     meander = build_meander(spec)
@@ -450,7 +458,6 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
         raise WrongCaseError(
             f"{spec.text()}: {rep.C} cycles + {rep.P} paths, need exactly two paths"
         )
-    # index 1, so the dimension is odd: dim - 1 is the rank of a skew form
     n = spec.n
     p1, p2 = rep.paths  # ordered by smallest vertex, so p1 contains vertex 1
     in_p1 = set(p1.vertices)
@@ -459,22 +466,18 @@ def case1_contact(spec: SeaweedSpec) -> ContactCertificate:
     basis = tuple(
         H if isinstance(b, DiagDiff) and b.i == 1 else b for b in standard_basis(spec)
     )
-    checked = check_basis(spec, basis)
-
-    # the checked basis holds every admissible unit
-    units = checked.units
-    gaps = [i for i in range(1, n) if (i, i + 1) not in units or (i + 1, i) not in units]
+    gaps = [i for i in range(1, n) if not (admissible(spec, i, i + 1) and admissible(spec, i + 1, i))]
     i = next((i for i in gaps if sum(hvals[:i])), None)
     if i is None:
         raise TheoremViolationError(f"{spec.text()} has no admissibility gap with phi(H) != 0")
     phi_H = sum(hvals[:i])
     fbar = _regular_form(meander)
     form = fbar.plus(OneForm.from_terms(n, [((k, k), Fraction(1)) for k in range(1, i + 1)]))
-    # the kernel guard: H's column of B_phi, (H_c - H_a) W_ac at each unit
-    # (a, c), is 0, and then det Bhat = phi(H)^2 det C' (see above)
+    # the kernel guard: H's column of B_phi, (H_c - H_a) W_ac at each entry
+    # (a, c) of the regular form, is 0, and then det Bhat = phi(H)^2 det C'
     if (
-        any(hvals[a - 1] != hvals[c - 1] for (a, c), _ in fbar.entries if (a, c) in units)
-        or (dval := bhat_det(checked, form.as_dict())) == 0
+        any(hvals[a - 1] != hvals[c - 1] for (a, c), _ in fbar.entries)
+        or (dval := bhat_det(check_basis(spec, basis), form.as_dict())) == 0
     ):
         raise TheoremViolationError(
             f"regular form of {spec.text()} does not kill exactly the H line: "
@@ -546,7 +549,7 @@ def case2_contact(spec: SeaweedSpec) -> ContactCertificate:
     p, q = comp.blocks()[b]
     cut = Composition(comp.parts[:b] + (1, q - p - 1, 1) + comp.parts[b + 1 :])
     gprime = SeaweedSpec(cut, spec.bottom) if side == "top" else SeaweedSpec(spec.top, cut)
-    if index_from_counts(*counts(build_meander(gprime))) != 0:
+    if index(gprime) != 0:
         raise TheoremViolationError(
             f"residual seaweed {gprime.text()} of {spec.text()} is not Frobenius"
         )
@@ -576,9 +579,7 @@ def synthesize_contact(spec: SeaweedSpec) -> ContactCertificate:
     idx = index_from_counts(C, P)
     if idx != 1:
         raise NotIndexOneError(f"{spec.text()} has index {idx}, not 1", idx)
-    if P == 2:
-        return case1_contact(spec)
-    return case2_contact(spec)
+    return case1_contact(spec) if P == 2 else case2_contact(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +603,6 @@ def _over_limit_reasons(spec: SeaweedSpec, labels: int, entries: int) -> Iterato
         )
 
 
-def _drop(rows: list[list[int]], h: int) -> list[list[int]]:
-    """The square matrix without its row and column h."""
-    return [row[:h] + row[h + 1 :] for r, row in enumerate(rows) if r != h]
-
-
 def _two_paths_det(
     cert: ContactCertificate, sphi: list[int], sB: list[list[int]], s: int
 ) -> Fraction | None:
@@ -616,9 +612,10 @@ def _two_paths_det(
     ``auxiliary``'s H, phi_H and det_c_prime equal to the basis's H,
     phi(H) and det C'.
 
-    det(s C') is the one Pfaffian when H's row and column of s B_phi are
-    zero: expanding the bordered matrix along them leaves only the border
-    entries s phi(H), so its determinant is (s phi(H))^2 det(s C') exactly.
+    det(s C') is the one Pfaffian when H's row of s B_phi is zero, and so
+    its column (``scaled_form`` writes each entry with its negative):
+    expanding the bordered matrix along them leaves only the border entries
+    s phi(H), so its determinant is (s phi(H))^2 det(s C') exactly.
     Otherwise the full bordered determinant is computed too, and it must
     equal that product. Both branches are exact, so they give one verdict.
     """
@@ -627,10 +624,11 @@ def _two_paths_det(
         return None
     h = hpos[0]
     d = len(sphi)
-    minor = _kernels.det_int(_drop(sB, h))  # s^(d-1) det C'
+    # s^(d-1) det C': s B_phi without H's row and column
+    minor = _kernels.det_int([row[:h] + row[h + 1 :] for r, row in enumerate(sB) if r != h])
     # (s phi(H))^2 det(s C') = s^(d+1) phi(H)^2 det C'
     dval = Fraction(sphi[h] ** 2 * minor, s ** (d + 1))
-    if (any(sB[h]) or any(row[h] for row in sB)) and _bordered_det(sphi, sB, s) != dval:
+    if any(sB[h]) and _bordered_det(sphi, sB, s) != dval:
         return None
     aux = cert.auxiliary
     if (
@@ -647,12 +645,13 @@ def verify_certificate(cert: ContactCertificate) -> bool:
 
     A certificate over a size limit (``_over_limit_reasons``) is rejected
     before anything is built, and so is one whose case does not fit its
-    meander: TwoPaths for two paths, for one cycle SL2 at n = 2 and OneCycle
-    otherwise. Then the basis must pass ``check_basis``
-    (a full basis of that seaweed), and the form, read as the dual matrix W,
-    is evaluated by trace pairing: B_phi(X, Y) = sum W_ij [X, Y]_ij from the
-    gl(n) bracket rules, with no structure table. The bordered determinant
-    of that one evaluation must be nonzero and equal the stored value.
+    meander (TwoPaths for two paths, for one cycle SL2 at n = 2 and
+    OneCycle otherwise) or an SL2 one whose ``auxiliary`` is not {}. Then
+    the basis must pass ``check_basis`` (a full basis of that seaweed), and
+    the form, read as the dual matrix W, is evaluated by trace pairing:
+    B_phi(X, Y) = sum W_ij [X, Y]_ij from the gl(n) bracket rules, with no
+    structure table. The bordered determinant of that one evaluation must
+    be nonzero and equal the stored value.
 
     For one cycle that determinant is computed directly. For two paths it
     must also factor as (phi(H))^2 * det phi(C'), with C' the Kirillov
@@ -671,6 +670,8 @@ def verify_certificate(cert: ContactCertificate) -> bool:
             return False
         one_cycle = "SL2" if cert.spec.n == 2 else "OneCycle"
         if {(0, 2): "TwoPaths", (1, 0): one_cycle}.get(counts(build_meander(cert.spec))) != cert.case:
+            return False
+        if cert.case == "SL2" and cert.auxiliary:
             return False
         checked = check_basis(cert.spec, cert.basis)
         # one evaluation serves the determinant, the TwoPaths minor and the

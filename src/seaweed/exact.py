@@ -101,8 +101,6 @@ def det(m: RatMatrix) -> Fraction:
 
 def rank(m: RatMatrix) -> int:
     """Exact rank over Q."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     rows, _ = _integer_rows(m)
     return _kernels.rank_int(rows)
 

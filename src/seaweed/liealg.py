@@ -246,7 +246,7 @@ def index_randomized(
         return 0
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     floor = d % 2
-    best: int | None = None
+    best = d
     table = L.table
     for _ in range(trials):
         phi = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(d)]
@@ -259,11 +259,10 @@ def index_randomized(
                 table = {(pos[i], pos[j]): vec for (i, j), vec in L.table.items()}
                 rows = _kirillov_int_rows(d, table, phi)
             kd = d - _kernels.rank_int(rows)
-        if best is None or kd < best:
+        if kd < best:
             best = kd
         if best == floor:
             break
-    assert best is not None
     return best
 
 

@@ -361,8 +361,6 @@ class SeaweedBasis:
         sphi = [0] * d
         rows = [[0] * d for _ in range(d)]
         for (a, c), w in zip(entries, w_ints):
-            if not w:
-                continue
             if a == c:
                 for pos, ent in self.diagonals:
                     sphi[pos] += ent[a - 1] * w

@@ -459,12 +459,18 @@ _H1 = {"name": "h1", "entries": ["1", "-1", "0", "0", "0", "0", "0", "0"]}
         # OneForm.from_terms would add the two entries up
         ("dual_matrix", lambda entries: {**entries, "01,8": "1"},
          "dual_matrix key '01,8' must be two decimal ints 'i,j'"),
+        # to_json writes neither key, so the file would not write back its bytes
+        ("note", "signed", "unknown field 'note'"),
+        ("basis", _swap_label({"diagdiff": 1}, {"diag": {**_H1, "note": "x"}}),
+         "a diag label must hold a string name and a list of string entries, "
+         f"not {({**_H1, 'note': 'x'})!r}"),
     ],
     ids=[
         "dual-matrix-list", "spec-number", "unit-bool", "unit-string", "diagdiff-string",
         "diagdiff-float", "diag-name-number", "diag-entries-numbers", "unit-and-diagdiff",
         "empty-label", "key-underscore",
         "key-space", "key-three-parts", "key-leading-zero", "zero-entry", "key-two-spellings",
+        "unknown-field", "diag-extra-key",
     ],
 )
 def test_verify_mistyped_field_is_unreadable(capsys, tmp_path, field, value, message):

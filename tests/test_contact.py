@@ -40,6 +40,7 @@ from seaweed.standard_form import (
     MatrixUnit,
     SeaweedBasis,
     SeaweedSpec,
+    admissible,
     check_basis,
     compositions,
     dual_matrix_to_coeffs,
@@ -315,7 +316,10 @@ def test_sl2_certificate():
     assert cert.det_value == 16
     assert cert.form.as_dict() == {(1, 2): Fraction(1), (2, 1): Fraction(1)}
     assert cert.form == regular_form_from_meander(spec("2 / 2"))
+    assert cert.auxiliary == {}
     assert verify_certificate(cert)
+    # sl(2) has no construction data to record
+    assert not verify_certificate(dataclasses.replace(cert, auxiliary={"H": ["1", "-1"]}))
 
 
 def test_one_cycle_top_block():
@@ -416,6 +420,9 @@ def test_the_determinant_has_a_closed_form_through_n8():
             if counts(build_meander(sp)) not in ((0, 2), (1, 0)):
                 continue
             cert = synthesize_contact(sp)
+            # every regular-form entry is an oriented meander edge, so an
+            # admissible unit: the kernel guard in case1_contact needs no filter
+            assert all(admissible(sp, i, j) for (i, j), _ in regular_form_from_meander(sp).entries)
             if cert.case == "TwoPaths":
                 p2 = cert.auxiliary["paths"][1]
                 predicted = (Fraction(cert.auxiliary["phi_H"]) * len(p2)) ** 2
